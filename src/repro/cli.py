@@ -162,12 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_engine_args(p) -> None:
-    p.add_argument("--engine", default="off",
+    p.add_argument("--engine", default="on",
                    choices=["off", "on", "sharded", "processes"],
-                   help="host execution engine: off (seed kernels), on "
-                        "(plan cache + chunked execution), sharded "
-                        "(+ threads), processes (+ isolated crash-tolerant "
-                        "worker processes)")
+                   help="host execution engine: on (default; plan cache + "
+                        "chunked execution), off (uncached seed kernels), "
+                        "sharded (+ threads), processes (+ isolated "
+                        "crash-tolerant worker processes)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="engine worker shards (implies --engine)")
     p.add_argument("--backend", default=None,
@@ -222,7 +222,7 @@ def _engine_setting(args):
         overrides["disk_budget_bytes"] = args.disk_budget
     if overrides:
         return overrides
-    engine = getattr(args, "engine", "off")
+    engine = getattr(args, "engine", "on")
     return None if engine == "off" else engine
 
 

@@ -72,13 +72,15 @@ class CstfConfig:
         supervisor's in-run deadline guard).
     engine:
         Host execution engine for the concrete hot paths (see
-        :mod:`repro.engine`): ``None``/``"off"`` (default — seed kernels),
-        ``"on"``/``"cached"`` (per-tensor plan cache + chunked execution),
-        ``"sharded"`` (plan cache + threaded shards), a dict of
-        :class:`~repro.engine.EngineConfig` fields, or an ``EngineConfig``.
-        Apart from the opt-in ``gram_rescale`` knob, engine runs are
-        bit-identical to seed runs and charge identical simulated device
-        costs; only host wall-clock changes. Ignored for analytic runs.
+        :mod:`repro.engine`): ``"on"``/``"cached"`` (default — per-tensor
+        plan cache + chunked execution), ``"sharded"`` (plan cache +
+        threaded shards), ``"processes"`` (isolated worker processes), a
+        dict of :class:`~repro.engine.EngineConfig` fields, an
+        ``EngineConfig``, or ``None``/``"off"`` (the uncached seed kernels
+        — the supervisor's bottom rung and the test oracle). Apart from the
+        opt-in ``gram_rescale`` knob, engine runs are bit-identical to seed
+        runs and charge identical simulated device costs; only host
+        wall-clock changes. Ignored for analytic runs.
     """
 
     rank: int = 32
@@ -102,7 +104,7 @@ class CstfConfig:
     checkpoint_path: object = None
     resume_from: object = None
     fault_injector: object = None
-    engine: object = None
+    engine: object = "on"
     on_iteration: object = None
 
     def __post_init__(self):

@@ -11,6 +11,10 @@ phases:
 3. **UPDATE** — the constraint update (line 10), e.g. ADMM/cuADMM.
 4. **NORMALIZE** — column normalization with λ absorption (line 11).
 
+After the last mode, **FIT** evaluates ``1 - ‖X - X̂‖/‖X‖`` from the last
+mode's MTTKRP and the Gram cache (see :func:`_fit_from_mttkrp`) instead of
+re-gathering every factor at every nonzero.
+
 The same code path serves concrete tensors and paper-scale
 :class:`~repro.machine.analytic.TensorStats` (symbolic factors).
 """
@@ -32,6 +36,7 @@ from repro.core.trace import (
     PHASE_NORMALIZE,
     PHASE_UPDATE,
 )
+from repro.kernels.gram import hadamard_of_grams
 from repro.kernels.mttkrp_alto import mttkrp_alto
 from repro.kernels.mttkrp_blco import mttkrp_blco
 from repro.kernels.mttkrp_coo import mttkrp_coo
@@ -369,6 +374,10 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
         iterations += 1
         iter_span = tel.open_span("outer_iter", iteration=iterations)
         tel.counter("cstf.outer_iterations")
+        # The last mode's MTTKRP, kept for the fit identity; stays None when
+        # it was never computed (tensor-based updates) or was repaired.
+        fit_mttkrp = None
+        injected_before = injector.injected if injector is not None else 0
         for mode in range(ndim):
             needs_tensor = getattr(update, "needs_tensor", False)
             if not needs_tensor:
@@ -387,10 +396,13 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
                         events=events,
                     )
                 # Phase-boundary sentinel (host-side; charges no device time).
-                m_mat = ensure_finite(
+                m_checked = ensure_finite(
                     m_mat, ctx, phase=PHASE_MTTKRP, what="MTTKRP result",
                     mode=mode, iteration=iterations,
                 )
+                if mode == ndim - 1 and m_checked is m_mat:
+                    fit_mttkrp = m_mat
+                m_mat = m_checked
             with ex.phase(PHASE_UPDATE), tel.span("update", mode=mode):
                 # The update solves for the unnormalized factor H·diag(λ);
                 # reapply the weights to warm-start from the current model.
@@ -462,8 +474,20 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
 
         if not analytic and config.compute_fit:
             with ex.phase(PHASE_FIT), tel.span("fit", iteration=iterations) as fit_span:
-                model = KruskalTensor([f.copy() for f in factors], weights.copy())
-                fits.append(model.fit(tensor))
+                fit = None
+                if fit_mttkrp is not None and (
+                    injector is None or injector.injected == injected_before
+                ):
+                    fit = _fit_from_mttkrp(
+                        tensor, fit_mttkrp, factors[-1], weights, grams
+                    )
+                if fit is None or 1.0 - fit < _EXACT_FIT_MARGIN:
+                    # No usable M (tensor-based update, repaired or injected
+                    # M), or a near-exact model whose residual is lost to
+                    # cancellation: evaluate the model at the nonzeros.
+                    model = KruskalTensor([f.copy() for f in factors], weights.copy())
+                    fit = model.fit(tensor)
+                fits.append(fit)
                 _charge_fit(ex, tensor, rank)
                 if fit_span is not None:
                     # Stamp the value on the span so trace consumers (the
@@ -591,6 +615,33 @@ def _gram_chain(ex: Executor, grams, skip: int, rank: int, analytic: bool):
     for g in picked[1:]:
         out = ex.hadamard(out, g, name="hadamard_gram")
     return out
+
+
+_EXACT_FIT_MARGIN = 1e-4
+"""Below this ``1 - fit`` the driver evaluates the fit directly.
+
+Both fit formulas cancel ``‖X‖² - 2⟨X, X̂⟩ + ‖X̂‖²`` in float64; their
+rounding differs by a few ulps of ``‖X‖²``, which moves the fit by about
+``ε / (1 - fit)``. Away from an exact model that is far below 1e-9; near
+one it grows to ``√ε``, so the direct fit keeps the reported value equal to
+:meth:`KruskalTensor.fit` there."""
+
+
+def _fit_from_mttkrp(tensor: SparseTensor, m_last, h_last, weights, grams) -> float:
+    """The fit ``1 - ‖X - X̂‖/‖X‖`` from the last mode's MTTKRP.
+
+    ``M⁽ᴺ⁾`` already sums every nonzero against the other modes' factors,
+    so ``⟨X, X̂⟩ = Σᵣ λᵣ Σᵢ M⁽ᴺ⁾[i,r]·H⁽ᴺ⁾[i,r]`` and ``‖X̂‖² = λᵀ(⊛ₘ G⁽ᵐ⁾)λ``
+    from the Gram cache: O(I_N·R + N·R²) instead of the O(nnz·R·N) gather
+    of :meth:`KruskalTensor.fit`. Same formula, different summation order,
+    so the two agree to rounding (see ``docs/PERFORMANCE.md``).
+    """
+    x_norm = tensor.norm()
+    require(x_norm > 0.0, "cannot compute fit against an all-zero tensor")
+    inner = float(weights @ np.einsum("ir,ir->r", m_last, h_last))
+    model_sq = float(weights @ hadamard_of_grams(grams) @ weights)
+    resid = max(x_norm**2 - 2.0 * inner + model_sq, 0.0)
+    return 1.0 - float(np.sqrt(resid)) / x_norm
 
 
 def _charge_fit(ex: Executor, tensor: SparseTensor, rank: int) -> None:

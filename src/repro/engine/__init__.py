@@ -21,7 +21,6 @@ from repro.engine.config import EngineConfig, resolve_engine
 from repro.engine.driver import (
     EngineMttkrp,
     PlanBuildError,
-    PreparedFactors,
     engine_mttkrp,
 )
 from repro.engine.execute import (
@@ -50,7 +49,6 @@ __all__ = [
     "engine_mttkrp",
     "EngineMttkrp",
     "PlanBuildError",
-    "PreparedFactors",
     "all_mode_krp_rows",
     "run_plan",
     "run_shards",

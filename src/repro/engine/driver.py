@@ -51,12 +51,14 @@ from repro.engine.config import EngineConfig
 from repro.engine.execute import run_plan
 from repro.engine.plan import PlanCache, get_plan_cache
 from repro.kernels.mttkrp import check_factors
+from repro.kernels.mttkrp_blco import _record_block_balance
 from repro.kernels.mttkrp_csf import mttkrp_csf
 from repro.machine.analytic import TensorStats, charge_mttkrp
+from repro.obs import current_telemetry
 from repro.resilience.events import PLAN_REPAIRED
 from repro.utils.validation import check_axis
 
-__all__ = ["PreparedFactors", "PlanBuildError", "engine_mttkrp", "EngineMttkrp"]
+__all__ = ["PlanBuildError", "engine_mttkrp", "EngineMttkrp"]
 
 
 class PlanBuildError(RuntimeError):
@@ -66,35 +68,6 @@ class PlanBuildError(RuntimeError):
     done, so the caller (typically :class:`~repro.resilience.supervisor
     .RunSupervisor`) can safely fall back to the plain COO format.
     """
-
-
-class PreparedFactors:
-    """Cast factors to float64 once per factor object, not once per call.
-
-    The seed kernels run ``np.asarray(f, dtype=np.float64)`` per factor per
-    call; for float64 inputs that is a cheap no-copy, but for anything else
-    it materializes a fresh copy every mode of every iteration. This memo
-    keys on object identity, so a factor array is converted exactly once
-    for as long as the driver sees the same object.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._memo: dict[int, tuple[object, np.ndarray]] = {}
-
-    def __call__(self, factors) -> list[np.ndarray]:
-        return [self._one(f) for f in factors]
-
-    def _one(self, f) -> np.ndarray:
-        key = id(f)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is f:
-            return hit[1]
-        arr = np.asarray(f, dtype=np.float64)
-        if len(self._memo) >= self.max_entries:
-            self._memo.clear()
-        self._memo[key] = (f, arr)
-        return arr
 
 
 def _build_alto(tensor):
@@ -160,6 +133,9 @@ def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, event
     if fmt in ("blco", "hicoo"):
         build = _build_blco if fmt == "blco" else _build_hicoo
         blocked = _convert(cache, tensor, fmt, build, cfg.validate)
+        if fmt == "blco":
+            # The block-balance gauges the seed kernel emits (run doctor).
+            _record_block_balance(blocked)
         out = np.zeros((tensor.shape[mode], rank), dtype=np.float64)
         serial = EngineConfig(chunk=cfg.chunk, shards=1)
         for plan in cache.block_plans(
@@ -172,7 +148,8 @@ def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, event
 
     if fmt == "csf":
         forest = _convert(cache, tensor, "csf", _build_csf_forest, cfg.validate)
-        return mttkrp_csf(forest[mode], factors, mode)
+        # The undecorated tree walk: EngineMttkrp opens the kernel span.
+        return mttkrp_csf.__wrapped__(forest[mode], factors, mode)
 
     raise ValueError(f"unknown engine format {fmt!r}")
 
@@ -184,7 +161,6 @@ def engine_mttkrp(
     fmt: str = "coo",
     cfg: EngineConfig | None = None,
     cache: PlanCache | None = None,
-    prepare: PreparedFactors | None = None,
     *,
     faults=None,
     events=None,
@@ -203,9 +179,7 @@ def engine_mttkrp(
     if fmt not in _ENGINE_FORMATS:
         raise ValueError(f"unknown engine format {fmt!r}")
     rank = check_factors(tensor.shape, factors, mode)
-    fmats = prepare(factors) if prepare is not None else [
-        np.asarray(f, dtype=np.float64) for f in factors
-    ]
+    fmats = [np.asarray(f, dtype=np.float64) for f in factors]
 
     if cfg.plan_store is not None and (
         cache.store is None or os.fspath(cache.store.root) != cfg.plan_store
@@ -302,13 +276,17 @@ class EngineMttkrp:
         self.stats = TensorStats.from_coo(tensor)
         self.ndim = tensor.ndim
         self.tensor = tensor
-        self.prepare = PreparedFactors()
         self.events = events
         self.injector = injector
 
     def compute(self, ex, factors, mode: int, rank: int):
         charge_mttkrp(ex, self.stats, rank, mode, self.fmt)
-        return engine_mttkrp(
-            self.tensor, factors, mode, self.fmt, self.cfg, self.cache,
-            self.prepare, faults=self.injector, events=self.events,
-        )
+        # The same kernel span and call counter the seed kernels emit, so a
+        # trace reads the same whichever path ran.
+        tel = current_telemetry()
+        with tel.span("mttkrp_kernel", format=self.fmt, mode=mode):
+            tel.counter(f"mttkrp.calls.{self.fmt}")
+            return engine_mttkrp(
+                self.tensor, factors, mode, self.fmt, self.cfg, self.cache,
+                faults=self.injector, events=self.events,
+            )

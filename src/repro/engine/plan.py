@@ -152,22 +152,27 @@ class MttkrpPlan:
 
     @classmethod
     def from_arrays(cls, indices, values, shape, mode: int) -> "MttkrpPlan":
-        """Build a plan from a COO-like ``(nnz, ndim)`` index array.
+        """Build a plan from a COO-like ``(nnz, ndim)`` index array."""
+        indices = np.asarray(indices)
+        if indices.ndim != 2:  # the index array of an empty tensor
+            indices = indices.reshape(0, len(shape))
+        return cls.from_columns(np.ascontiguousarray(indices.T), values, shape, mode)
+
+    @classmethod
+    def from_columns(cls, columns, values, shape, mode: int) -> "MttkrpPlan":
+        """Build a plan from one coordinate array per mode.
 
         The stable argsort matches :func:`segment_accumulate` exactly, so
         executing the plan reproduces the seed kernel's summation order —
-        and with it, its bits.
+        and with it, its bits. It sorts on the narrowest unsigned dtype
+        that holds the mode length: equal keys give the same stable
+        permutation, and keys of up to 16 bits get NumPy's radix sort.
         """
-        indices = np.asarray(indices)
         values = np.asarray(values, dtype=np.float64)
-        ndim = int(indices.shape[1]) if indices.ndim == 2 else len(shape)
-        targets = indices[:, mode] if values.shape[0] else np.zeros(0, dtype=np.int64)
-        order = np.argsort(targets, kind="stable")
-        cols = tuple(
-            np.ascontiguousarray(indices[order, m], dtype=np.int64)
-            for m in range(ndim)
-        )
-        values_sorted = np.ascontiguousarray(values[order])
+        key_dtype = np.min_scalar_type(max(int(shape[mode]) - 1, 0))
+        order = np.argsort(np.asarray(columns[mode]).astype(key_dtype), kind="stable")
+        cols = tuple(np.asarray(c, dtype=np.int64)[order] for c in columns)
+        values_sorted = values[order]
         st = cols[mode]
         if st.shape[0]:
             starts = np.flatnonzero(np.concatenate(([True], st[1:] != st[:-1])))
@@ -410,22 +415,16 @@ class PlanCache:
         plans = []
         if fmt == "blco":
             for block in blocked.blocks:
-                idx = np.stack(
-                    [blocked.block_mode_indices(block, m) for m in range(blocked.ndim)],
-                    axis=1,
-                )
+                cols = [blocked.block_mode_indices(block, m) for m in range(blocked.ndim)]
                 plans.append(
-                    MttkrpPlan.from_arrays(idx, block.values, blocked.shape, mode)
+                    MttkrpPlan.from_columns(cols, block.values, blocked.shape, mode)
                 )
         elif fmt == "hicoo":
             for b in range(blocked.num_blocks):
                 _, _, values = blocked.block_slice(b)
-                idx = np.stack(
-                    [blocked.mode_indices_of_block(b, m) for m in range(blocked.ndim)],
-                    axis=1,
-                )
+                cols = [blocked.mode_indices_of_block(b, m) for m in range(blocked.ndim)]
                 plans.append(
-                    MttkrpPlan.from_arrays(idx, values, blocked.shape, mode)
+                    MttkrpPlan.from_columns(cols, values, blocked.shape, mode)
                 )
         else:  # pragma: no cover - callers pass known formats
             raise ValueError(f"unknown blocked format {fmt!r}")

@@ -41,21 +41,30 @@ class ProximalOperator:
     ``fn(x, rho)`` must return an array of the same shape; ``elementwise``
     marks operators that are separable per element, which cuADMM's fused
     kernels require (the simplex projection is row-separable instead and
-    falls back to the unfused path in the cost model).
+    falls back to the unfused path in the cost model). ``inplace`` marks an
+    ``fn`` that also takes ``out=`` (which may alias ``x``).
     """
 
     name: str
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[..., np.ndarray]
     elementwise: bool = True
     params: dict = field(default_factory=dict)
+    inplace: bool = False
 
-    def __call__(self, x: np.ndarray, rho: float) -> np.ndarray:
+    def __call__(self, x: np.ndarray, rho: float, out=None) -> np.ndarray:
+        """``prox(x)``, written into ``out`` when given."""
         require(rho > 0.0, f"rho must be positive, got {rho}")
-        return self.fn(np.asarray(x, dtype=np.float64), float(rho))
+        x = np.asarray(x, dtype=np.float64)
+        if out is None:
+            return self.fn(x, float(rho))
+        if self.inplace:
+            return self.fn(x, float(rho), out=out)
+        np.copyto(out, self.fn(x, float(rho)))
+        return out
 
 
-def _prox_nonneg(x, rho):
-    return np.maximum(x, 0.0)
+def _prox_nonneg(x, rho, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def _prox_identity(x, rho):
@@ -154,7 +163,7 @@ def _make_prox_smooth(alpha: float, nonneg: bool = False):
 
 
 PROXIMAL_REGISTRY: dict[str, Callable[..., ProximalOperator]] = {
-    "nonneg": lambda: ProximalOperator("nonneg", _prox_nonneg),
+    "nonneg": lambda: ProximalOperator("nonneg", _prox_nonneg, inplace=True),
     "unconstrained": lambda: ProximalOperator("unconstrained", _prox_identity),
     "l1": lambda alpha=0.1: ProximalOperator("l1", _make_prox_l1(alpha), params={"alpha": alpha}),
     "ridge": lambda alpha=0.1: ProximalOperator(

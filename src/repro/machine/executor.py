@@ -233,8 +233,11 @@ class Executor:
     # ------------------------------------------------------------------ #
     # BLAS-2/3 kernels
     # ------------------------------------------------------------------ #
-    def gemm(self, a, b, name: str = "dgemm"):
-        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency."""
+    def gemm(self, a, b, name: str = "dgemm", *, out=None):
+        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency.
+
+        ``out`` receives the product in place (same BLAS call, same bits).
+        """
         m, k = _shape(a)
         k2, n = _shape(b)
         if k != k2:
@@ -249,7 +252,7 @@ class Executor:
         )
         if is_symbolic(a, b):
             return SymArray((m, n))
-        return np.asarray(a) @ np.asarray(b)
+        return np.matmul(np.asarray(a), np.asarray(b), out=out)
 
     def gemv(self, a, x, name: str = "dgemv"):
         """``A @ x``: flops 2·m·n (HALS's per-rank kernel)."""
@@ -359,8 +362,13 @@ class Executor:
 
     # ------------------------------------------------------------------ #
     # cuADMM fused kernels (Section 4.3.1)
+    #
+    # Each takes ``out=`` so the inner loop can run on reused buffers (see
+    # ``AdmmUpdate``); the elementwise operations and their order are the
+    # same either way, so in-place results are bitwise equal to fresh ones.
     # ------------------------------------------------------------------ #
-    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary"):
+    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary",
+                        *, out=None):
         """``H̃ = M + ρ(H + U)`` in one kernel: 3n reads, n writes.
 
         The unfused equivalent is two DGEAM calls (4n reads, 2n writes) —
@@ -370,10 +378,12 @@ class Executor:
         self.record(name, flops=3 * n, reads=3 * n, writes=n, parallel_work=n)
         if is_symbolic(m, h, u):
             return SymArray(_shape(m))
-        return np.asarray(m) + rho * (np.asarray(h) + np.asarray(u))
+        out = np.add(h, u, out=out)
+        np.multiply(rho, out, out=out)
+        return np.add(m, out, out=out)
 
     def fused_prox_primal(self, op: ProximalOperator, h_aux, u, rho: float,
-                          name: str = "fused_prox_primal"):
+                          name: str = "fused_prox_primal", *, out=None):
         """``H = prox_r(H̃ - U)`` in one kernel.
 
         No intermediate global store of ``H̃ - U`` as a *separate kernel's*
@@ -386,9 +396,11 @@ class Executor:
         self.record(name, flops=3 * n, reads=2 * n, writes=2 * n, parallel_work=n)
         if is_symbolic(h_aux, u):
             return SymArray(_shape(h_aux))
-        return op(np.asarray(h_aux) - np.asarray(u), rho)
+        diff = np.subtract(h_aux, u, out=out)
+        return op(diff, rho, out=diff)
 
-    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update"):
+    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update",
+                          *, out=None, scratch=None):
         """Dual update and all four convergence reductions in one kernel.
 
         Computes ``ΔH = H - H̃``, ``U += ΔH``, and co-computes
@@ -396,20 +408,22 @@ class Executor:
         registers: 5n reads (U, H, H̃, H_prev, plus the prox kernel's
         difference tile), 2n writes (U and the materialized ΔH), versus the
         unfused path's three DGEAMs plus four separate reduction kernels.
+
+        ``out`` receives the new U; ``scratch`` (which may alias ``h_aux``)
+        holds ΔH and then ``H - H_prev``.
         """
         n = _size(u)
         self.record(name, flops=10 * n, reads=5 * n, writes=2 * n, parallel_work=n)
         if is_symbolic(u, h, h_aux, h_prev):
             nan = float("nan")
             return SymArray(_shape(u)), nan, nan, nan, nan
-        u = np.asarray(u)
-        h = np.asarray(h)
-        dh = h - np.asarray(h_aux)
-        u_new = u + dh
-        d_prev = h - np.asarray(h_prev)
+        dh = np.subtract(h, h_aux, out=scratch)
+        u_new = np.add(u, dh, out=out)
+        r_primal = float(np.vdot(dh, dh).real)
+        d_prev = np.subtract(h, h_prev, out=dh)
         return (
             u_new,
-            float(np.vdot(dh, dh).real),
+            r_primal,
             float(np.vdot(h, h).real),
             float(np.vdot(d_prev, d_prev).real),
             float(np.vdot(u_new, u_new).real),

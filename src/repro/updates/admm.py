@@ -86,6 +86,7 @@ class AdmmUpdate(UpdateMethod):
         self.fuse_ops = bool(fuse_ops)
         self.preinvert = bool(preinvert)
         self.record_residuals = bool(record_residuals)
+        self._scratch = [np.empty(0), np.empty(0)]
         self.nonnegative = self.prox.name in ("nonneg", "nonneg_l1", "simplex", "box")
         suffix = {
             (False, False): "",
@@ -151,6 +152,9 @@ class AdmmUpdate(UpdateMethod):
             l_factor, rho = self._factorize(ex, s_arr, rho, ctx, mode)
         g_inv = ex.spd_inverse(l_factor) if self.preinvert else None
 
+        # The fused loop writes every I×R intermediate into reused buffers;
+        # the caller's h and u are only ever read.
+        ws = self._workspace(h.shape) if self.fuse_ops and not symbolic else None
         residuals: list[tuple[float, float]] = []
         h0 = h  # pristine warm start, used by the fresh-restart fallback
         last_good = (h, u)
@@ -168,7 +172,7 @@ class AdmmUpdate(UpdateMethod):
             try:
                 if self.fuse_ops:
                     h_new, u_new, r_primal, r_dual = self._iter_fused(
-                        ex, m_mat, h, u, rho, l_factor, g_inv
+                        ex, m_mat, h, u, rho, l_factor, g_inv, ws
                     )
                 else:
                     h_new, u_new, r_primal, r_dual = self._iter_generic(
@@ -302,20 +306,31 @@ class AdmmUpdate(UpdateMethod):
         """
         if not (math.isfinite(r_primal) and math.isfinite(r_dual)):
             return True
-        if not (np.isfinite(h_new).all() and np.isfinite(u_new).all()):
+        # NaN/±Inf entries make the magnitude non-finite.
+        magnitude = max(_max_abs(h_new), _max_abs(u_new))
+        if not math.isfinite(magnitude):
             return True
-        thresh = ctx.policy.divergence_threshold
-        return bool(
-            max(np.abs(h_new).max(initial=0.0), np.abs(u_new).max(initial=0.0))
-            > thresh * ref_scale
-        )
+        return magnitude > ctx.policy.divergence_threshold * ref_scale
+
+    def _workspace(self, shape) -> "_Workspace":
+        """Buffers of the fused loop for one update of an I×R factor.
+
+        The two scratch buffers persist across calls as flat arrays grown to
+        the largest factor seen, and every mode works on a view of them, so
+        one update object serves one factorization at a time.
+        """
+        size = math.prod(shape)
+        if self._scratch[0].size < size:
+            self._scratch = [np.empty(size), np.empty(size)]
+        aux, bar = (buf[:size].reshape(shape) for buf in self._scratch)
+        return _Workspace(aux, bar, shape)
 
     # ------------------------------------------------------------------ #
-    def _solve(self, ex: Executor, h_aux, l_factor, g_inv):
+    def _solve(self, ex: Executor, h_aux, l_factor, g_inv, out=None):
         """Apply ``(S + ρI)⁻¹`` on the right of the I×R auxiliary matrix."""
         if self.preinvert:
             # H̄ = H̃ (LLᵀ)⁻¹ — a single GEMM (the inverse is symmetric).
-            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse")
+            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse", out=out)
         # Two serialized triangular solves on R×I right-hand sides; the
         # transposes are layout flags on DTRSM, not data movement.
         return ex.cholesky_solve(l_factor, h_aux.T).T
@@ -339,23 +354,69 @@ class AdmmUpdate(UpdateMethod):
         r_dual = r_dual_num / max(u_norm, 1e-30)
         return h_new, u_new, r_primal, r_dual
 
-    def _iter_fused(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv):
-        """One inner iteration with the cuADMM fused kernels."""
+    def _iter_fused(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv, ws=None):
+        """One inner iteration with the cuADMM fused kernels.
+
+        With a workspace, H̃ and H̄ reuse two scratch buffers and the new H
+        and U go to whichever ping-pong buffer does not hold the current
+        iterate, so ``(h, u)`` stay intact for a rollback.
+        """
+        aux = bar = h_out = u_out = None
+        if ws is not None:
+            aux, bar = ws.aux, ws.bar
+            h_out, u_out = ws.next_h(h), ws.next_u(u)
         h_prev = h  # No DCOPY: the fused dual kernel reads the old H in place.
-        h_aux = ex.fused_auxiliary(m_mat, h, u, rho)
-        h_bar = self._solve(ex, h_aux, l_factor, g_inv)
-        h_new = ex.fused_prox_primal(self.prox, h_bar, u, rho)
+        h_aux = ex.fused_auxiliary(m_mat, h, u, rho, out=aux)
+        h_bar = self._solve(ex, h_aux, l_factor, g_inv, out=bar)
+        h_new = ex.fused_prox_primal(self.prox, h_bar, u, rho, out=h_out)
         u_new, r_primal_num, h_norm, r_dual_num, u_norm = ex.fused_dual_update(
-            u, h_new, h_bar, h_prev
+            u, h_new, h_bar, h_prev, out=u_out, scratch=aux,
         )
         r_primal = r_primal_num / max(h_norm, 1e-30)
         r_dual = r_dual_num / max(u_norm, 1e-30)
         return h_new, u_new, r_primal, r_dual
 
 
+class _Workspace:
+    """The I×R buffers of one fused update.
+
+    ``aux`` holds H̃ and then ΔH, ``bar`` holds H̄; both are views of the
+    update's persistent scratch. ``h`` and ``u`` are ping-pong pairs for
+    the iterates, allocated up front so no inner iteration allocates. The
+    caller keeps the pair members holding the final iterates.
+    """
+
+    def __init__(self, aux, bar, shape):
+        self.aux = aux
+        self.bar = bar
+        self.h = (np.empty(shape), np.empty(shape))
+        self.u = (np.empty(shape), np.empty(shape))
+
+    def next_h(self, h):
+        """The buffer for the next H: never the one holding *h*."""
+        return self.h[1] if h is self.h[0] else self.h[0]
+
+    def next_u(self, u):
+        return self.u[1] if u is self.u[0] else self.u[0]
+
+
+def _max_abs(a) -> float:
+    """``max |a|`` from a max and a min reduction, without an ``|a|``
+    temporary; NaN when *a* holds a NaN, inf when it holds ±inf."""
+    if a.size == 0:
+        return 0.0
+    hi, lo = float(a.max()), float(a.min())
+    if math.isnan(hi) or math.isnan(lo):
+        return math.nan
+    return max(hi, -lo)
+
+
 def _finite_max(arr) -> float:
     """Largest finite magnitude in *arr* (0.0 when none exist)."""
     a = np.asarray(arr, dtype=np.float64)
+    magnitude = _max_abs(a)
+    if math.isfinite(magnitude):
+        return magnitude
     finite = a[np.isfinite(a)]
     return float(np.abs(finite).max()) if finite.size else 0.0
 

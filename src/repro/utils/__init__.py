@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, deterministic RNG, wall-clock timing.
+"""Shared utilities: argument validation and deterministic RNG.
 
 These helpers keep the numerical packages free of repetitive boilerplate and
 enforce the conventions listed in DESIGN.md (float64 everywhere, explicit
@@ -13,7 +13,6 @@ from repro.utils.validation import (
     require,
 )
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "check_axis",
@@ -23,5 +22,4 @@ __all__ = [
     "require",
     "as_generator",
     "spawn_generators",
-    "Stopwatch",
 ]

@@ -23,6 +23,21 @@ class TestConfig:
         assert c.update == "cuadmm"
         assert c.mttkrp_format == "blco"
 
+    def test_engine_defaults_to_cached(self):
+        from repro.engine import EngineConfig
+
+        assert CstfConfig().engine == EngineConfig()
+        assert CstfConfig(engine="off").engine is None
+
+    def test_default_engine_is_bitwise_engine_off(self, tensor):
+        on = cstf(tensor, rank=3, max_iters=4, seed=2)
+        off = cstf(tensor, rank=3, max_iters=4, seed=2, engine="off")
+        for a, b in zip(on.kruskal.factors, off.kruskal.factors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(on.kruskal.weights, off.kruskal.weights)
+        assert on.per_iteration_seconds() == off.per_iteration_seconds()
+        assert on.fits == off.fits
+
     def test_invalid_format(self):
         with pytest.raises(ValueError, match="mttkrp_format"):
             CstfConfig(mttkrp_format="hicoo")

@@ -169,8 +169,11 @@ class TestCliFlags:
             ["factorize", "x.tns", "--rank", "2", *extra]
         )
 
-    def test_default_is_engine_off(self):
-        assert _engine_setting(self._args()) is None
+    def test_default_is_engine_on(self):
+        assert _engine_setting(self._args()) == "on"
+
+    def test_engine_off_selects_seed_kernels(self):
+        assert _engine_setting(self._args("--engine", "off")) is None
 
     def test_engine_string_passthrough(self):
         assert _engine_setting(self._args("--engine", "sharded")) == "sharded"

@@ -78,6 +78,23 @@ class TestPlanCacheBehavior:
         assert counters["engine.plan.hits"] > 0
         assert counters["engine.plan.misses"] > 0
 
+    @pytest.mark.parametrize("fmt", ["coo", "blco", "csf"])
+    def test_kernel_telemetry_matches_seed_kernels(self, tensor, fmt):
+        """One ``mttkrp_kernel`` span and ``mttkrp.calls.<fmt>`` count per
+        MTTKRP, and the BLCO block gauges, whichever path ran."""
+        runs = [_run(tensor, engine, fmt, iters=2, telemetry="on")
+                for engine in (None, "on")]
+        seen = []
+        for res in runs:
+            rec = res.telemetry
+            spans = [s.attrs for s in rec.spans if s.name == "mttkrp_kernel"]
+            gauges = {k: v for k, v in rec.metrics_summary["gauges"].items()
+                      if k.startswith("mttkrp.")}
+            seen.append((spans, rec.metrics_summary["counters"][f"mttkrp.calls.{fmt}"],
+                         gauges))
+        assert seen[0] == seen[1]
+        assert len(seen[0][0]) == 2 * tensor.ndim
+
     def test_shard_gauges_recorded(self, tensor):
         result = _run(tensor, {"shards": 3}, iters=2, telemetry="on")
         gauges = result.telemetry.metrics_summary["gauges"]

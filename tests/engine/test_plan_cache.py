@@ -138,6 +138,21 @@ class TestPlanStructure:
             plan.stream.out_index, np.unique(tensor.indices[:, 0])
         )
 
+    @pytest.mark.parametrize("rows", [200, 1717, 70_000])
+    def test_narrow_key_sort_matches_int64_permutation(self, rows):
+        """Targets sort on uint8/uint16/uint32 keys; with many ties the
+        stable permutation must equal the int64 one."""
+        rng = np.random.default_rng(rows)
+        nnz = 5000
+        targets = rng.integers(0, min(rows, 40), size=nnz)  # heavy ties
+        indices = np.stack([rng.integers(0, 7, size=nnz), targets], axis=1)
+        values = rng.random(nnz)
+        plan = MttkrpPlan.from_arrays(indices, values, (7, rows), 1)
+        order = np.argsort(indices[:, 1].astype(np.int64), kind="stable")
+        assert np.array_equal(plan.stream.values, values[order])
+        for m in range(2):
+            assert np.array_equal(plan.stream.cols[m], indices[order, m])
+
     def test_chunk_edges_align_to_segments(self, tensor):
         plan = MttkrpPlan.from_arrays(
             tensor.indices, tensor.values, tensor.shape, 1

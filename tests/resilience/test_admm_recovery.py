@@ -125,3 +125,25 @@ class TestBlockedAdmm:
         assert recoveries >= 1
         potrfs = [r for r in ex.timeline.records if r.name == "dpotrf"]
         assert len(potrfs) == 1 + recoveries
+
+
+class TestDivergenceGuard:
+    @pytest.mark.parametrize("h_fill,diverged", [
+        (np.nan, True),
+        (-1.0, False),
+        (-1e9, True),
+    ], ids=["nan", "all-negative-sane", "all-negative-blown-up"])
+    def test_magnitude_bound_from_max_and_min(self, h_fill, diverged):
+        """The bound is max |x| taken as max(max x, -min x): an all-negative
+        iterate is judged by its most negative entry, a NaN diverges."""
+        ctx = ResilienceContext(ResiliencePolicy())
+        ref_scale = 2.0
+        h = np.full((5, 3), h_fill)
+        h[1, 1] = -0.5
+        u = -np.random.default_rng(0).random((5, 3))
+        got = AdmmUpdate._diverged(h, u, 0.1, 0.1, ctx, ref_scale)
+        assert got is diverged
+        if np.isfinite(h).all():
+            # Same value as the |x| copies the bound used to allocate.
+            bound = ctx.policy.divergence_threshold * ref_scale
+            assert got == (max(np.abs(h).max(), np.abs(u).max()) > bound)

@@ -200,7 +200,7 @@ class TestPerfVerb:
 
     def test_perf_without_engine_has_no_engine_section(self):
         code, text = _run(["perf", "uber", "--rank", "2", "--iters", "2",
-                           "--nnz", "1000"])
+                           "--nnz", "1000", "--engine", "off"])
         assert code == 0
         assert "engine plan cache" not in text
 

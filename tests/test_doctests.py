@@ -6,11 +6,10 @@ import pytest
 
 import repro
 import repro.machine.traceviz as traceviz
-import repro.utils.timing as timing
 
 
 @pytest.mark.parametrize(
-    "module", [repro, traceviz, timing], ids=lambda m: m.__name__
+    "module", [repro, traceviz], ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)

@@ -1,12 +1,9 @@
-"""Validation, RNG and timing utilities."""
-
-import time
+"""Validation and RNG utilities."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_axis,
     check_positive_int,
@@ -88,67 +85,3 @@ class TestRng:
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_generators(0, count=-1)
-
-
-class TestStopwatch:
-    def test_lap_accumulates(self):
-        sw = Stopwatch()
-        with sw.lap("a"):
-            time.sleep(0.001)
-        with sw.lap("a"):
-            pass
-        assert sw.total("a") > 0
-        assert sw.counts["a"] == 2
-
-    def test_breakdown_sums_to_one(self):
-        sw = Stopwatch()
-        sw.add("x", 1.0)
-        sw.add("y", 3.0)
-        assert sum(sw.breakdown().values()) == pytest.approx(1.0)
-        assert sw.breakdown()["y"] == pytest.approx(0.75)
-
-    def test_empty_breakdown(self):
-        assert Stopwatch().breakdown() == {}
-
-    def test_grand_total(self):
-        sw = Stopwatch()
-        sw.add("x", 1.5)
-        sw.add("y", 0.5)
-        assert sw.grand_total() == 2.0
-
-    def test_mean_uses_counts(self):
-        sw = Stopwatch()
-        sw.add("x", 1.0)
-        sw.add("x", 3.0)
-        sw.add("y", 0.5)
-        assert sw.mean("x") == pytest.approx(2.0)
-        assert sw.mean("y") == pytest.approx(0.5)
-        assert sw.mean("never") == 0.0
-
-    def test_breakdown_ordered_by_descending_time(self):
-        sw = Stopwatch()
-        sw.add("small", 1.0)
-        sw.add("big", 5.0)
-        sw.add("mid", 2.0)
-        assert list(sw.breakdown()) == ["big", "mid", "small"]
-        # Ties break by name, so the order is deterministic.
-        sw2 = Stopwatch()
-        sw2.add("b", 1.0)
-        sw2.add("a", 1.0)
-        assert list(sw2.breakdown()) == ["a", "b"]
-
-    def test_report_table(self):
-        sw = Stopwatch()
-        sw.add("alpha", 1.0)
-        sw.add("alpha", 1.0)
-        sw.add("beta", 6.0)
-        report = sw.report()
-        lines = report.splitlines()
-        # Header, rule, beta (heavier) before alpha, then the TOTAL row.
-        assert "lap" in lines[0] and "share" in lines[0]
-        assert lines[2].startswith("beta")
-        assert lines[3].startswith("alpha")
-        assert lines[-1].startswith("TOTAL")
-        assert "75.0%" in lines[2]
-        assert "8.000000" in lines[-1]  # grand total
-        assert Stopwatch().report() == "(no laps recorded)"
