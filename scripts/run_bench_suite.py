@@ -57,16 +57,6 @@ def main(argv=None) -> int:
                         help="target nonzeros for the fig4wall analogues")
     parser.add_argument("--wall-repeats", type=int, default=2,
                         help="wall-clock repeats per configuration (min is kept)")
-    parser.add_argument("--shm-bench", action="store_true",
-                        help="also measure the shmdispatch group: processes-"
-                             "backend dispatch overhead, pipe vs shared-"
-                             "memory transport (spawns a worker pool)")
-    parser.add_argument("--shm-shards", type=int, default=4,
-                        help="worker shards for the shmdispatch group")
-    parser.add_argument("--shm-nnz", type=int, default=50_000,
-                        help="nonzeros of the shmdispatch synthetic tensor")
-    parser.add_argument("--shm-repeats", type=int, default=3,
-                        help="shmdispatch repeats per transport (min is kept)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default: BENCH_<timestamp>.json in cwd)")
     parser.add_argument("--write-baselines", action="store_true",
@@ -85,10 +75,6 @@ def main(argv=None) -> int:
         wall_names=tuple(args.wall_names),
         wall_nnz=args.wall_nnz,
         wall_repeats=args.wall_repeats,
-        shm_bench=args.shm_bench,
-        shm_shards=args.shm_shards,
-        shm_nnz=args.shm_nnz,
-        shm_repeats=args.shm_repeats,
     )
     errors = validate_bench(doc)
     if errors:  # defensive: run_bench_suite validates its own output

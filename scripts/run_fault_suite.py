@@ -18,8 +18,9 @@ plus a supervised chaos run on the ``processes`` execution backend that
 SIGKILLs a worker mid-MTTKRP *and* corrupts an on-disk plan-store entry,
 asserting bit-identical convergence with ``worker_lost`` and
 ``plan_repaired`` events and a schema-valid trace. The chaos run executes
-**twice** — once per shard transport (``shm="on"`` zero-copy shared
-memory, ``shm="off"`` pipe pickling) — and each trace is checked with
+**twice** — once on this host (zero-copy shared-memory transport where
+POSIX shared memory works) and once on a simulated host without shared
+memory (pipe transport) — and each trace is checked with
 ``--require-worker-spans`` (trace completeness: every executed shard must
 carry at least one worker-attributed kernel span, even across kills and
 respawns) and ``--require-transport-attr`` (transport provenance: every
@@ -34,7 +35,7 @@ excluded from tier-1) plus a supervised chaos run that injects
 memory budget, asserting bit-identical convergence, pressure-degradation
 events, a clean run with zero pressure events, and no leaked /dev/shm
 segments; each trace is checked with ``--require-pressure-events``. The
-stage runs twice, once per shard transport (``shm on``/``off``).
+stage runs twice, on this host and on a host without shared memory.
 ``--stage resource`` runs only that stage.
 
 Extra arguments are forwarded to pytest, e.g.::
@@ -51,6 +52,17 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Prepended to a process-backend snippet to run it on a simulated host
+# without POSIX shared memory, where shards travel over the task pipes.
+_NO_SHM_HOST = """
+import repro.engine.backends.shm as _shm_mod
+_shm_mod.shm_available = lambda: False
+"""
+
+
+def _on_host(snippet: str, has_shm: bool) -> str:
+    return snippet if has_shm else _NO_SHM_HOST + snippet
 
 # Inline fault run with JSONL telemetry: injects faults at a high rate so
 # recovery events land in the stream, which check_trace.py then validates
@@ -186,6 +198,7 @@ import numpy as np
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.engine import shutdown_pools
+from repro.engine.backends.shm import shm_available
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 from repro.tensor.coo import SparseTensor
@@ -208,20 +221,19 @@ injector = FaultInjector(
 )
 chaos = supervised_cstf(X, CstfConfig(
     **base,
-    engine={"shards": 3, "backend": "processes", "plan_store": STORE_DIR,
-            "shm": SHM_MODE},
+    engine={"shards": 3, "backend": "processes", "plan_store": STORE_DIR},
     fault_injector=injector,
     telemetry=Telemetry(jsonl_path=TRACE_PATH),
 ))
 assert injector.injected > 0, "process chaos run injected no faults"
 counters = chaos.telemetry.metrics_summary.get("counters", {})
-if SHM_MODE == "on":
+if shm_available():
     assert counters.get("engine.shm.segments", 0) > 0, (
-        "shm transport enabled but no shared-memory segment was published"
+        "shared memory available but no segment was published"
     )
 else:
     assert "engine.shm.segments" not in counters, (
-        "shm segments created despite shm='off'"
+        "shm segments created on a host without shared memory"
     )
 for mode, (a, b) in enumerate(zip(serial.kruskal.factors, chaos.kruskal.factors)):
     assert np.array_equal(a, b), (
@@ -236,7 +248,7 @@ assert "plan_repaired" in kinds, (
 )
 shutdown_pools()
 print("process chaos OK (shm=%s): faults=%d, kinds=%s" % (
-    SHM_MODE, injector.injected,
+    shm_available(), injector.injected,
     ",".join(sorted(kinds & {"worker_lost", "plan_repaired"}))))
 """
 
@@ -255,6 +267,7 @@ import numpy as np
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.engine import shutdown_pools
+from repro.engine.backends.shm import shm_available
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 from repro.resilience.checkpoint import load_checkpoint
@@ -284,7 +297,7 @@ injector = FaultInjector(
 )
 chaos = supervised_cstf(X, CstfConfig(
     **base,
-    engine={"shards": 3, "backend": "processes", "shm": SHM_MODE,
+    engine={"shards": 3, "backend": "processes",
             "memory_budget_bytes": 8_000_000, "plan_store": STORE_DIR},
     checkpoint_every=1, checkpoint_path=CK_PATH,
     fault_injector=injector,
@@ -305,7 +318,7 @@ assert "worker_recycled" in kinds, (
 assert kinds & {"checkpoint_skipped", "store_skipped"}, (
     f"no persistence skips despite disk_full faults (saw {sorted(kinds)})"
 )
-if SHM_MODE == "on":
+if shm_available():
     assert "transport_downgraded" in kinds, (
         f"no transport_downgraded despite shm_exhausted faults "
         f"(saw {sorted(kinds)})"
@@ -315,7 +328,7 @@ assert ck.iteration >= 1, "no checkpoint generation survived the skips"
 
 # A clean supervised run (no faults, no budget) must pay nothing.
 clean = supervised_cstf(X, CstfConfig(
-    **base, engine={"shards": 3, "backend": "processes", "shm": SHM_MODE},
+    **base, engine={"shards": 3, "backend": "processes"},
 ))
 for a, b in zip(serial.kruskal.factors, clean.kruskal.factors):
     assert np.array_equal(a, b), "clean processes run is not bit-identical"
@@ -330,29 +343,29 @@ shutdown_pools()
 leaked = set(glob.glob("/dev/shm/*")) - shm_before
 assert not leaked, f"/dev/shm leaked segments: {sorted(leaked)}"
 print("resource chaos OK (shm=%s): faults=%d, kinds=%s" % (
-    SHM_MODE, injector.injected, ",".join(sorted(kinds & pressure))))
+    shm_available(), injector.injected, ",".join(sorted(kinds & pressure))))
 """
 
 
-def _check_resource_chaos(env, shm_mode: str) -> int:
+def _check_resource_chaos(env, has_shm: bool) -> int:
     """Resource-pressure chaos: OOM + ENOSPC + shm exhaustion, degraded
     but bit-identical; the trace must prove the pressure paths fired."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "resource_chaos.jsonl"
         store = Path(tmp) / "plan_store"
         ck = Path(tmp) / "resource_chaos.npz"
-        snippet = (
+        snippet = _on_host(
             _RESOURCE_CHAOS_SNIPPET
             .replace("TRACE_PATH", repr(str(trace)))
             .replace("STORE_DIR", repr(str(store)))
-            .replace("CK_PATH", repr(str(ck)))
-            .replace("SHM_MODE", repr(shm_mode))
+            .replace("CK_PATH", repr(str(ck))),
+            has_shm,
         )
         code = subprocess.call(
             [sys.executable, "-c", snippet], cwd=REPO_ROOT, env=env,
         )
         if code != 0:
-            print(f"resource chaos run failed (shm={shm_mode})")
+            print(f"resource chaos run failed (has_shm={has_shm})")
             return code
         # No worker-span/transport gates here: a run whose sink degrades
         # under an injected sink fault legitimately truncates its stream.
@@ -363,27 +376,27 @@ def _check_resource_chaos(env, shm_mode: str) -> int:
         )
 
 
-def _check_process_chaos(env, shm_mode: str) -> int:
+def _check_process_chaos(env, has_shm: bool) -> int:
     """Process-backend chaos: SIGKILL + store corruption, bit-identical.
 
-    Runs on one shard transport (*shm_mode* ``"on"`` or ``"off"``); the
-    caller invokes it for both so recovery is proven with and without the
-    zero-copy path.
+    Runs on this host or, with *has_shm* false, on one without shared
+    memory; the caller invokes it for both so recovery is proven with and
+    without the zero-copy path.
     """
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "process_chaos.jsonl"
         store = Path(tmp) / "plan_store"
-        snippet = (
+        snippet = _on_host(
             _PROCESS_CHAOS_SNIPPET
             .replace("TRACE_PATH", repr(str(trace)))
-            .replace("STORE_DIR", repr(str(store)))
-            .replace("SHM_MODE", repr(shm_mode))
+            .replace("STORE_DIR", repr(str(store))),
+            has_shm,
         )
         code = subprocess.call(
             [sys.executable, "-c", snippet], cwd=REPO_ROOT, env=env,
         )
         if code != 0:
-            print(f"process chaos run failed (shm={shm_mode})")
+            print(f"process chaos run failed (has_shm={has_shm})")
             return code
         return subprocess.call(
             [sys.executable, str(REPO_ROOT / "scripts" / "check_trace.py"),
@@ -391,6 +404,21 @@ def _check_process_chaos(env, shm_mode: str) -> int:
              str(trace)],
             cwd=REPO_ROOT, env=env,
         )
+
+
+_PROCESS_GATE = "process-backend chaos gate (real SIGKILL + store corruption)"
+_RESOURCE_GATE = "resource-pressure chaos gate (OOM + ENOSPC + shm exhaustion)"
+
+
+def _check_on_both_hosts(check, label: str, env) -> int:
+    """One pass on this host's default transport, one on a host without
+    shared memory (pipe transport)."""
+    for host, has_shm in (("this host", True), ("a host without shm", False)):
+        print(f"\nrunning the {label}, traced, on {host}")
+        code = check(env, has_shm)
+        if code != 0:
+            return code
+    return 0
 
 
 def _check_chaos(env) -> int:
@@ -445,9 +473,6 @@ def _check_perf_baselines(env) -> int:
     is a genuine behavior change, not noise; the measured ``fig4wall``
     group carries its own wide tolerance and is additionally gated here on
     the PR 4 acceptance floor: engine wall-clock speedup geomean >= 2x.
-    The ``--shm-bench`` group (processes-backend dispatch overhead, pipe
-    vs shared-memory transport) rides along and is diffed against its
-    blessed baseline; its speedup is reported informationally.
     """
     import json
 
@@ -455,7 +480,7 @@ def _check_perf_baselines(env) -> int:
         bench = Path(tmp) / "BENCH_ci.json"
         code = subprocess.call(
             [sys.executable, str(REPO_ROOT / "scripts" / "run_bench_suite.py"),
-             "--quiet", "--shm-bench", "--out", str(bench)],
+             "--quiet", "--out", str(bench)],
             cwd=REPO_ROOT, env=env,
         )
         if code != 0:
@@ -463,11 +488,6 @@ def _check_perf_baselines(env) -> int:
             return code
         doc = json.loads(bench.read_text(encoding="utf-8"))
         for group in doc["groups"]:
-            if group["figure"] == "shmdispatch":
-                m = group["metrics"]
-                print(f"shm dispatch overhead: pipe {m['pipe.dispatch_s']*1e3:.1f}ms "
-                      f"vs shm {m['shm.dispatch_s']*1e3:.1f}ms "
-                      f"({m['shm_speedup']:.2f}x)")
             if group["figure"] != "fig4wall":
                 continue
             speedup = group["metrics"]["geomean.engine_speedup"]
@@ -538,28 +558,15 @@ def main(extra_args: list[str]) -> int:
         if code != 0:
             return code
     if stage == "resource":
-        for shm_mode in ("on", "off"):
-            print(f"\nrunning the resource-pressure chaos gate "
-                  f"(OOM + ENOSPC + shm exhaustion, traced, shm={shm_mode})")
-            code = _check_resource_chaos(env, shm_mode)
-            if code != 0:
-                return code
-        return 0
+        return _check_on_both_hosts(_check_resource_chaos, _RESOURCE_GATE, env)
     print("\nrunning the supervised chaos gate (execution faults, traced)")
     code = _check_chaos(env)
     if code != 0:
         return code
     if backend == "processes":
-        for shm_mode in ("on", "off"):
-            print(f"\nrunning the process-backend chaos gate "
-                  f"(real SIGKILL + store corruption, traced, shm={shm_mode})")
-            code = _check_process_chaos(env, shm_mode)
-            if code != 0:
-                return code
-        for shm_mode in ("on", "off"):
-            print(f"\nrunning the resource-pressure chaos gate "
-                  f"(OOM + ENOSPC + shm exhaustion, traced, shm={shm_mode})")
-            code = _check_resource_chaos(env, shm_mode)
+        for check, label in ((_check_process_chaos, _PROCESS_GATE),
+                             (_check_resource_chaos, _RESOURCE_GATE)):
+            code = _check_on_both_hosts(check, label, env)
             if code != 0:
                 return code
     print("\nvalidating fault-run telemetry against the schema")

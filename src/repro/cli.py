@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--nnz", type=int, default=50_000,
                      help="target nonzeros for dataset analogues")
     fac.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a Chrome trace of the simulated kernels")
+                     help="write a Chrome trace of the run: host spans and "
+                          "the simulated device kernels (implies --telemetry)")
     fac.add_argument("--telemetry", action="store_true",
                      help="collect run telemetry (spans + metrics) and print a summary")
     fac.add_argument("--max-retries", type=int, default=None, metavar="N",
@@ -169,61 +170,60 @@ def _add_engine_args(p) -> None:
                         "sharded (+ threads), processes (+ isolated "
                         "crash-tolerant worker processes)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="engine worker shards (implies --engine)")
+                   help="engine worker shards (overrides the --engine preset)")
     p.add_argument("--backend", default=None,
                    choices=["serial", "threads", "processes"],
-                   help="shard dispatch backend (implies --engine; "
-                        "default: threads)")
+                   help="shard dispatch backend (overrides the --engine "
+                        "preset; threads and processes shard across the "
+                        "host's cores unless --shards is given)")
     p.add_argument("--plan-store", default=None, metavar="DIR",
                    help="persist MTTKRP plans to an on-disk, crash-safe, "
-                        "content-addressed store in DIR (implies --engine; "
-                        "serves coo-format plans, pair with --format coo)")
+                        "content-addressed store in DIR (serves coo-format "
+                        "plans, pair with --format coo)")
     p.add_argument("--plan-store-bytes", type=int, default=None, metavar="N",
                    help="bound the plan store to N bytes with LRU eviction "
                         "(requires --plan-store; 0 = unbounded)")
-    p.add_argument("--shm", default=None, choices=["auto", "on", "off"],
-                   help="processes-backend shard transport (implies "
-                        "--engine): auto (default; zero-copy shared-memory "
-                        "segments where available, pipe fallback), on "
-                        "(require shared memory), off (pickle over pipes)")
     p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure memory budget in bytes (implies "
-                        "--engine): processes-backend workers breaching it "
+                   help="resource-pressure memory budget in bytes: "
+                        "processes-backend workers breaching it "
                         "are recycled at shard boundaries, and the "
                         "shared-memory transport trims/downgrades instead "
                         "of exceeding it (0 = unbounded)")
-    p.add_argument("--disk-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure disk budget in bytes (implies "
-                        "--engine): default on-disk bound for the plan "
-                        "store when --plan-store-bytes is unset "
-                        "(0 = unbounded)")
 
 
 def _engine_setting(args):
-    """Map the engine flags to the ``CstfConfig.engine`` setting."""
-    from repro.engine.config import default_shards
+    """Map the engine flags to the ``CstfConfig.engine`` setting.
+
+    The ``--engine`` preset is the base; each per-field flag given replaces
+    that field of the preset's :class:`~repro.engine.config.EngineConfig`.
+    Raises ValueError for flags that cannot apply: engine flags with
+    ``--engine off``, or ``--plan-store-bytes`` without ``--plan-store``.
+    """
+    from dataclasses import replace
+
+    from repro.engine.config import default_shards, resolve_engine
 
     overrides = {}
-    if getattr(args, "shards", None) is not None:
+    if args.shards is not None:
         overrides["shards"] = args.shards
-    if getattr(args, "backend", None) is not None:
+    if args.backend is not None:
         overrides["backend"] = args.backend
-        if args.backend != "serial" and "shards" not in overrides:
+        if args.backend != "serial" and args.shards is None:
             overrides["shards"] = default_shards()
-    if getattr(args, "plan_store", None) is not None:
+    if args.plan_store is not None:
         overrides["plan_store"] = args.plan_store
-        if getattr(args, "plan_store_bytes", None) is not None:
-            overrides["plan_store_bytes"] = args.plan_store_bytes
-    if getattr(args, "shm", None) is not None:
-        overrides["shm"] = args.shm
-    if getattr(args, "memory_budget", None) is not None:
+    if args.plan_store_bytes is not None:
+        if args.plan_store is None:
+            raise ValueError("--plan-store-bytes requires --plan-store")
+        overrides["plan_store_bytes"] = args.plan_store_bytes
+    if args.memory_budget is not None:
         overrides["memory_budget_bytes"] = args.memory_budget
-    if getattr(args, "disk_budget", None) is not None:
-        overrides["disk_budget_bytes"] = args.disk_budget
-    if overrides:
-        return overrides
-    engine = getattr(args, "engine", "on")
-    return None if engine == "off" else engine
+    preset = resolve_engine(args.engine)
+    if preset is None:
+        if overrides:
+            raise ValueError("--engine off takes no other engine flags")
+        return None
+    return replace(preset, **overrides) if overrides else args.engine
 
 
 def _cmd_datasets(out) -> int:
@@ -258,24 +258,17 @@ def _cmd_factorize(args, out) -> int:
     print(f"factorizing {label}: {tensor}", file=out)
 
     telemetry = "auto"
-    if args.telemetry or args.trace_out:
+    if args.telemetry or args.trace_out or args.trace:
         from repro.obs import Telemetry
 
         telemetry = Telemetry(jsonl_path=args.trace_out)
     config = CstfConfig(
         rank=args.rank, max_iters=args.iters, tol=args.tol, update=args.update,
         device=args.device, mttkrp_format=args.mttkrp_format, seed=args.seed,
-        telemetry=telemetry, engine=_engine_setting(args),
+        telemetry=telemetry, engine=args.engine,
     )
     supervised = args.max_retries is not None or args.deadline is not None
-    if args.trace:
-        # Tracing needs retained records; run the update stack through a
-        # recording executor by monkey-free reconstruction: rerun via cstf
-        # then export from a dedicated traced executor is not possible, so
-        # trace the whole run by enabling record retention on the driver's
-        # executor via the traced wrapper below.
-        result = _factorize_traced(tensor, config, args.trace, out)
-    elif supervised:
+    if supervised:
         from repro.resilience.supervisor import RunSupervisor, SupervisorConfig
 
         sup = RunSupervisor(
@@ -313,32 +306,12 @@ def _cmd_factorize(args, out) -> int:
         if args.trace_out:
             print(f"telemetry JSONL written to {args.trace_out} "
                   f"(convert with: repro trace {args.trace_out})", file=out)
+        if args.trace:
+            from repro.obs import write_telemetry_chrome_trace
+
+            write_telemetry_chrome_trace(rec, args.trace)
+            print(f"chrome trace written to {args.trace}", file=out)
     return 0
-
-
-def _factorize_traced(tensor, config, trace_path, out):
-    """Run cstf with kernel-record retention and export a Chrome trace.
-
-    The driver constructs its own executor, so tracing substitutes a
-    record-retaining factory for the duration of the run.
-    """
-    from unittest import mock
-
-    from repro.machine.executor import Executor
-    from repro.machine.traceviz import write_chrome_trace
-
-    captured = {}
-
-    def recording_executor(device="a100", keep_records=False):
-        ex = Executor(device, keep_records=True)
-        captured.setdefault("ex", ex)
-        return ex
-
-    with mock.patch("repro.core.cstf.Executor", recording_executor):
-        result = cstf(tensor, config)
-    write_chrome_trace(captured["ex"], trace_path)
-    print(f"chrome trace written to {trace_path}", file=out)
-    return result
 
 
 def _cmd_analyze(args, out) -> int:
@@ -464,7 +437,7 @@ def _load_analysis_record(args, out):
     config = CstfConfig(
         rank=args.rank, max_iters=args.iters, update=args.update,
         device=args.device, mttkrp_format=args.mttkrp_format, seed=args.seed,
-        telemetry=Telemetry(), engine=_engine_setting(args),
+        telemetry=Telemetry(), engine=args.engine,
     )
     print(f"analyzing in-process run of {label}", file=out)
     return cstf(tensor, config).telemetry
@@ -553,10 +526,6 @@ def _cmd_perf(args, out) -> int:
         rate = hits / (hits + misses)
         print(f"engine plan cache: {int(hits)} hits, {int(misses)} misses "
               f"({100 * rate:.1f}% hit rate)", file=out)
-        rescales = counters.get("engine.gram.rescales", 0)
-        if rescales:
-            print(f"engine gram rescales: {int(rescales)} "
-                  f"(rank-one λ-rescale instead of full Gram GEMMs)", file=out)
         gauges = summary.get("gauges", {})
         workers = gauges.get("engine.shard.workers")
         if workers:
@@ -655,7 +624,13 @@ def _cmd_diff(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "engine"):
+        try:
+            args.engine = _engine_setting(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "datasets":
         return _cmd_datasets(out)
     if args.command == "devices":

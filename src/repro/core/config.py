@@ -77,10 +77,10 @@ class CstfConfig:
         threaded shards), ``"processes"`` (isolated worker processes), a
         dict of :class:`~repro.engine.EngineConfig` fields, an
         ``EngineConfig``, or ``None``/``"off"`` (the uncached seed kernels
-        — the supervisor's bottom rung and the test oracle). Apart from the
-        opt-in ``gram_rescale`` knob, engine runs are bit-identical to seed
-        runs and charge identical simulated device costs; only host
-        wall-clock changes. Ignored for analytic runs.
+        — the supervisor's bottom rung and the test oracle). Engine runs
+        are bit-identical to seed runs and charge identical simulated
+        device costs; only host wall-clock changes. Ignored for analytic
+        runs.
     """
 
     rank: int = 32
@@ -114,13 +114,6 @@ class CstfConfig:
         require(
             self.on_iteration is None or callable(self.on_iteration),
             "on_iteration must be callable (or None)",
-        )
-        require(
-            self.engine is None
-            or not self.engine.gram_rescale
-            or self.normalize == "2",
-            'engine.gram_rescale requires normalize="2" (λ² is diag(G) only '
-            "under the Euclidean column-norm convention)",
         )
         self.rank = check_rank(self.rank)
         self.max_iters = check_positive_int(self.max_iters, "max_iters")

@@ -46,8 +46,8 @@ Factor matrices and accumulators travel over one of two transports:
 
 - **pipe** — the baseline: factor matrices pickled into every task,
   each ``(out_rows, rank)`` accumulator pickled back in the reply.
-- **shm** (default where POSIX shared memory works; see
-  ``EngineConfig.shm``) — zero-copy via :mod:`repro.engine.backends.shm`:
+- **shm** (used wherever POSIX shared memory works; pipe otherwise) —
+  zero-copy via :mod:`repro.engine.backends.shm`:
   the parent publishes each factor matrix once per dispatch into a pooled
   shared-memory segment and pre-zeroes one shm accumulator per shard that
   the worker fills in place, so tasks carry only segment names/shapes and
@@ -409,22 +409,6 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Shared-memory transport plumbing
     # ------------------------------------------------------------------ #
-    def _use_shm(self, cfg) -> bool:
-        mode = getattr(cfg, "shm", "auto")
-        if mode == "off":
-            return False
-        from repro.engine.backends.shm import shm_available
-
-        if shm_available():
-            return True
-        if mode == "on":
-            raise RuntimeError(
-                "EngineConfig.shm='on' but POSIX shared memory is "
-                "unavailable on this host (shm='auto' falls back to the "
-                "pipe transport instead)"
-            )
-        return False  # pragma: no cover - host without /dev/shm
-
     def _segment_pool(self):
         if self._shm_pool is None:
             from repro.engine.backends.shm import SegmentPool
@@ -453,7 +437,9 @@ class ProcessBackend(ExecutionBackend):
         fmats = [np.ascontiguousarray(f, dtype=np.float64) for f in fmats]
 
         tel = current_telemetry()
-        use_shm = self._use_shm(cfg)
+        from repro.engine.backends.shm import shm_available
+
+        use_shm = shm_available()
         budget = int(getattr(cfg, "memory_budget_bytes", 0) or 0)
         if budget > 0 and tel.enabled:
             tel.gauge("engine.proc.memory_budget", float(budget))

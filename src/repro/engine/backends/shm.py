@@ -78,7 +78,7 @@ def shm_available() -> bool:
 
     Probes by round-tripping a tiny real segment rather than trusting the
     import: containers without a usable ``/dev/shm`` fail here, and the
-    ``shm="auto"`` default then falls back to the pipe transport.
+    processes backend then falls back to the pipe transport.
     """
     global _PROBE
     if _PROBE is None:

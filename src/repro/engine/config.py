@@ -2,9 +2,9 @@
 
 The engine accelerates the *concrete* NumPy hot paths of a cSTF run; it
 never changes what the simulated machine model charges, so enabling it
-alters host wall-clock only, not the reported device timelines. Apart from
-the explicitly opt-in ``gram_rescale``, every engine path is bit-identical
-to the seed kernels (same summation order, same multiply order).
+alters host wall-clock only, not the reported device timelines. Every
+engine path is bit-identical to the seed kernels (same summation order,
+same multiply order).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = ["EngineConfig", "resolve_engine"]
 
 _VALIDATE = ("off", "cheap", "full")
 _BACKENDS = ("serial", "threads", "processes")
-_SHM = ("auto", "on", "off")
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,10 @@ class EngineConfig:
         processes with heartbeat/watchdog crash recovery — a SIGKILLed
         or aborted worker is detected, respawned, and its shard redone
         serially). All backends are bitwise identical to serial
-        execution; only failure isolation and wall-clock differ.
-    shm:
-        Shard transport of the ``processes`` backend: ``"auto"`` (default;
-        zero-copy ``multiprocessing.shared_memory`` transport where POSIX
-        shared memory works, pipe pickling otherwise), ``"on"`` (require
-        shared memory; raise where unavailable), or ``"off"`` (always
-        pickle over the task pipes). With shm, factor matrices are
-        published once per MTTKRP dispatch (one write, N readers) and
-        each shard's accumulator is a parent-allocated segment the worker
-        fills in place — bit-identical to the pipe transport and to
-        serial execution across every fault-recovery path. Ignored by
-        the ``serial``/``threads`` backends (shared address space
-        already). Booleans are accepted and normalized to on/off.
+        execution; only failure isolation and wall-clock differ. The
+        ``processes`` backend ships factor matrices and accumulators
+        through zero-copy POSIX shared memory wherever the host has it
+        and pickles them over its task pipes otherwise.
     plan_store:
         Optional path of an on-disk :class:`~repro.engine.plan_store.
         PlanStore` directory (``None`` disables the store tier). Built
@@ -104,27 +94,6 @@ class EngineConfig:
         pressure and — when a lease still cannot fit — downgrading that
         dispatch to pipe transport (``transport_downgraded`` event)
         instead of erroring.
-    disk_budget_bytes:
-        Resource-pressure disk budget in bytes (``0`` = unbounded, the
-        default). Acts as the default on-disk bound for cached artifacts:
-        when ``plan_store_bytes`` is unset, the plan store evicts down to
-        this budget instead. Persistence failures under real disk
-        pressure (ENOSPC) are always survived regardless of budget —
-        plan-store writes are skipped (``store_skipped``), checkpoint
-        writes keep the last completed generation
-        (``checkpoint_skipped``), and the telemetry sink degrades to a
-        null sink (``obs.sink.dropped``).
-    gram_rescale:
-        Reuse the Gram matrix of the *unnormalized* update result via a
-        rank-one λ-rescale (``G(H/λ) = G(H)/(λλᵀ)``) instead of a separate
-        column-norm pass after normalization. Requires ``normalize="2"``
-        (λ² is exactly ``diag(G)``). Opt-in: the rescaled Gram is
-        numerically equivalent but *not* bit-identical to the seed path,
-        so it is excluded from the engine's rtol=0 guarantee.
-    max_tensors:
-        Plan-cache capacity in tensors (LRU eviction). Each cached tensor
-        pins its plans, cached format conversions, and a strong reference
-        to the tensor itself.
     validate:
         Plan staleness detection per lookup: ``"cheap"`` (default; shape,
         nnz, and a 16-point sampled fingerprint of indices/values),
@@ -138,13 +107,9 @@ class EngineConfig:
     shards: int = 1
     shard_timeout: float = 0.0
     backend: str = "threads"
-    shm: str = "auto"
     plan_store: str | None = None
     plan_store_bytes: int = 0
     memory_budget_bytes: int = 0
-    disk_budget_bytes: int = 0
-    gram_rescale: bool = False
-    max_tensors: int = 16
     validate: str = "cheap"
 
     def __post_init__(self):
@@ -157,15 +122,6 @@ class EngineConfig:
             self.backend in _BACKENDS,
             f"backend must be one of {_BACKENDS}, got {self.backend!r}",
         )
-        shm = self.shm
-        if shm is True:
-            shm = "on"
-        elif shm is False:
-            shm = "off"
-        require(
-            shm in _SHM, f"shm must be one of {_SHM}, got {self.shm!r}"
-        )
-        object.__setattr__(self, "shm", shm)
         if self.plan_store is not None:
             object.__setattr__(self, "plan_store", os.fspath(self.plan_store))
         require(int(self.plan_store_bytes) >= 0, "plan_store_bytes must be >= 0")
@@ -175,11 +131,6 @@ class EngineConfig:
         )
         object.__setattr__(
             self, "memory_budget_bytes", int(self.memory_budget_bytes)
-        )
-        require(int(self.disk_budget_bytes) >= 0, "disk_budget_bytes must be >= 0")
-        object.__setattr__(self, "disk_budget_bytes", int(self.disk_budget_bytes))
-        object.__setattr__(
-            self, "max_tensors", check_positive_int(self.max_tensors, "max_tensors")
         )
         require(
             self.validate in _VALIDATE,

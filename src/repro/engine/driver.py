@@ -186,12 +186,7 @@ def engine_mttkrp(
     ):
         from repro.engine.plan_store import PlanStore
 
-        # The explicit per-store budget wins; the engine-wide disk budget
-        # is the default bound for cached artifacts.
-        cache.store = PlanStore(
-            cfg.plan_store,
-            max_bytes=cfg.plan_store_bytes or cfg.disk_budget_bytes or None,
-        )
+        cache.store = PlanStore(cfg.plan_store, max_bytes=cfg.plan_store_bytes or None)
 
     if faults is not None and faults.draw_plan_fault(mode=mode, events=events):
         cache.corrupt(tensor)

@@ -237,11 +237,7 @@ def diff_against_store(
 
     A group with no stored baseline is reported informationally (a new
     benchmark should not fail CI); a stored baseline with no matching group
-    is a missing-group failure (the suite silently stopped measuring it) —
-    unless the baseline's ``meta`` marks it ``optional`` (an opt-in group,
-    e.g. the ``shmdispatch`` transport bench that only ``--shm-bench`` runs
-    measure), in which case its absence is simply skipped. When an optional
-    group *is* measured, it is compared like any other.
+    is a missing-group failure (the suite silently stopped measuring it).
     """
     deltas: list[MetricDelta] = []
     new_groups: list[str] = []
@@ -267,14 +263,7 @@ def diff_against_store(
                     tolerance=d.tolerance,
                 )
             )
-    missing_groups = []
-    for key in store.keys():
-        if key in seen:
-            continue
-        doc = store.load(key)
-        if doc is not None and doc.get("meta", {}).get("optional"):
-            continue
-        missing_groups.append(key)
+    missing_groups = [key for key in store.keys() if key not in seen]
     for key in missing_groups:
         deltas.append(MetricDelta(key, None, None, "missing", None, 0.0))
     return DiffReport(deltas=deltas, missing_groups=missing_groups, new_groups=new_groups)

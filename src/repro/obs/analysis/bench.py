@@ -207,73 +207,6 @@ def _fig4wall_group(rank: int, names, target_nnz: int, repeats: int) -> dict:
     }
 
 
-def _shm_dispatch_group(
-    rank: int, shards: int, nnz: int, repeats: int
-) -> dict:
-    """Measured processes-backend dispatch overhead: pipe vs shm transport.
-
-    A transport-dominated workload — large factor matrices, modest nnz —
-    so the timings isolate what each dispatch *ships* (pickled arrays over
-    pipes vs shared-memory segment names), not what it computes. Like
-    ``fig4wall`` these are real machine-dependent timings, so the group
-    carries a wide ``tolerance`` and is opt-in (``shm_bench=True`` /
-    ``--shm-bench``); its blessed baseline is marked ``optional`` so
-    default runs that skip the group do not trip the missing-group check.
-    On hosts without POSIX shared memory both timings take the pipe path
-    (``meta.shm_available`` records which was measured).
-    """
-    import time
-
-    import numpy as np
-
-    from repro.engine import EngineConfig, PlanCache, engine_mttkrp
-    from repro.engine.backends import get_backend
-    from repro.engine.backends.shm import shm_available
-    from repro.tensor.synthetic import random_sparse
-
-    dims = (4096, 3072, 2048)
-    tensor = random_sparse(dims, nnz=nnz, seed=12)
-    rng = np.random.default_rng(12)
-    factors = [rng.random((d, rank)) for d in dims]
-
-    def best_of(shm: str) -> float:
-        cfg = EngineConfig(shards=shards, backend="processes", shm=shm)
-        cache = PlanCache()
-        engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)  # warm pool+plan
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    pipe_s = best_of("off")
-    shm_s = best_of("auto")
-    get_backend("processes").shutdown()
-    return {
-        "key": baseline_key("shmdispatch", "host", rank, "coo"),
-        "figure": "shmdispatch",
-        "meta": {
-            "device": "host",
-            "rank": rank,
-            "format": "coo",
-            "dims": list(dims),
-            "nnz": nnz,
-            "shards": shards,
-            "repeats": repeats,
-            "measured": "wall_clock",
-            "shm_available": bool(shm_available()),
-            "optional": True,
-        },
-        "metrics": {
-            "pipe.dispatch_s": pipe_s,
-            "shm.dispatch_s": shm_s,
-            "shm_speedup": pipe_s / shm_s,
-        },
-        "tolerance": 0.75,
-    }
-
-
 def run_bench_suite(
     device: str = "a100",
     rank: int = 32,
@@ -285,10 +218,6 @@ def run_bench_suite(
     wall_names=("nips", "flickr"),
     wall_nnz: int = 80_000,
     wall_repeats: int = 2,
-    shm_bench: bool = False,
-    shm_shards: int = 4,
-    shm_nnz: int = 50_000,
-    shm_repeats: int = 3,
 ) -> dict:
     """Run the Figure 4/5/7 subset and return the BENCH document.
 
@@ -298,9 +227,7 @@ def run_bench_suite(
     stamps the output filename, not the content). The one exception is the
     ``fig4wall`` group (``wall=True``): measured host wall-clock of the
     engine vs the seed kernels, nondeterministic by nature and tagged with
-    its own wide ``tolerance``. ``shm_bench=True`` (opt-in: it spawns a
-    worker-process pool) appends the measured ``shmdispatch`` group —
-    processes-backend dispatch overhead, pipe vs shared-memory transport.
+    its own wide ``tolerance``.
     """
     datasets = tuple(datasets)
     groups = [_fig4_group(fig4_device, rank, fig4_names)]
@@ -308,10 +235,6 @@ def run_bench_suite(
         groups.append(_fig4wall_group(rank, wall_names, wall_nnz, wall_repeats))
     groups.append(_fig5_group(device, rank, inner_iters, datasets))
     groups.append(_fig7_group(device, rank, inner_iters, datasets))
-    if shm_bench:
-        groups.append(
-            _shm_dispatch_group(rank, shm_shards, shm_nnz, shm_repeats)
-        )
     doc = {
         "type": "bench",
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -327,10 +250,6 @@ def run_bench_suite(
             "wall_names": list(wall_names) if wall else [],
             "wall_nnz": wall_nnz,
             "wall_repeats": wall_repeats,
-            "shm_bench": bool(shm_bench),
-            "shm_shards": shm_shards,
-            "shm_nnz": shm_nnz,
-            "shm_repeats": shm_repeats,
         },
         "groups": groups,
     }

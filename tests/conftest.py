@@ -40,3 +40,12 @@ def factors4(small4, rng):
 def planted():
     """A genuinely low-rank sparse tensor plus its planted factors."""
     return planted_sparse_cp((22, 18, 14), rank=3, factor_sparsity=0.5, seed=11)
+
+
+@pytest.fixture
+def no_shm_host(monkeypatch):
+    """Simulate a host without POSIX shared memory, where the processes
+    backend ships shard inputs and results over its task pipes."""
+    import repro.engine.backends.shm as shm_mod
+
+    monkeypatch.setattr(shm_mod, "shm_available", lambda: False)

@@ -85,16 +85,6 @@ class TestConfig:
         assert cfg.plan_store == str(tmp_path / "plans")
         assert EngineConfig().plan_store is None
 
-    def test_shm_validated_and_normalized(self):
-        assert EngineConfig().shm == "auto"
-        for value in ("auto", "on", "off"):
-            assert EngineConfig(shm=value).shm == value
-        # Booleans normalize to the string form.
-        assert EngineConfig(shm=True).shm == "on"
-        assert EngineConfig(shm=False).shm == "off"
-        with pytest.raises(ValueError, match="shm must be one of"):
-            EngineConfig(shm="maybe")
-
     def test_resolve_engine_processes(self):
         cfg = resolve_engine("processes")
         assert cfg.backend == "processes"
@@ -181,37 +171,22 @@ class TestCliFlags:
 
     def test_backend_implies_sharded_engine(self):
         setting = _engine_setting(self._args("--backend", "processes"))
-        assert setting["backend"] == "processes"
-        assert setting["shards"] > 1
-        assert resolve_engine(setting).backend == "processes"
+        assert setting.backend == "processes"
+        assert setting.shards > 1
+        assert resolve_engine(setting) is setting
 
     def test_serial_backend_keeps_one_shard(self):
         setting = _engine_setting(self._args("--backend", "serial"))
-        assert setting == {"backend": "serial"}
+        assert setting == EngineConfig(backend="serial")
 
     def test_explicit_shards_win(self):
         setting = _engine_setting(
             self._args("--backend", "threads", "--shards", "2")
         )
-        assert setting["shards"] == 2
+        assert setting.shards == 2
 
     def test_plan_store_flag(self, tmp_path):
         setting = _engine_setting(
             self._args("--plan-store", str(tmp_path / "plans"))
         )
-        assert setting == {"plan_store": str(tmp_path / "plans")}
-        assert resolve_engine(setting).plan_store == str(tmp_path / "plans")
-
-    def test_shm_flag(self):
-        setting = _engine_setting(
-            self._args("--backend", "processes", "--shm", "off")
-        )
-        assert setting["shm"] == "off"
-        assert resolve_engine(setting).shm == "off"
-        # --shm alone also implies the engine (like the other engine flags).
-        assert _engine_setting(self._args("--shm", "on")) == {"shm": "on"}
-
-    def test_shm_defaults_to_config_auto(self):
-        setting = _engine_setting(self._args("--backend", "processes"))
-        assert "shm" not in setting
-        assert resolve_engine(setting).shm == "auto"
+        assert setting == EngineConfig(plan_store=str(tmp_path / "plans"))

@@ -18,7 +18,7 @@ class TestEngineConfig:
     def test_defaults(self):
         cfg = EngineConfig()
         assert cfg.chunk == 4096 and cfg.shards == 1
-        assert not cfg.gram_rescale and cfg.validate == "cheap"
+        assert cfg.backend == "threads" and cfg.validate == "cheap"
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

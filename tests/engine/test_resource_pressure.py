@@ -209,24 +209,26 @@ class TestProcessPressure:
         kw.update(overrides)
         return EngineConfig(**kw)
 
-    def test_oom_killed_worker_recovered_bit_identical(self, tensor, factors):
+    def test_oom_killed_worker_recovered_bit_identical(
+        self, tensor, factors, no_shm_host
+    ):
         inj = FaultInjector(
             FaultSpec("EXECUTE", "oom_worker", probability=1.0), seed=2
         )
         events = EventLog()
         got = engine_mttkrp(
-            tensor, factors, 0, "coo", self._cfg(shm="off"), PlanCache(),
+            tensor, factors, 0, "coo", self._cfg(), PlanCache(),
             faults=inj, events=events,
         )
         assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
         lost = events.of_kind("worker_lost")
         assert lost and any("OOM" in e.detail for e in lost)
 
-    def test_rss_gauges_and_budget_recycling(self, tensor, factors):
+    def test_rss_gauges_and_budget_recycling(self, tensor, factors, no_shm_host):
         # A 1-byte budget: every worker's real RSS breaches it, so each
         # collected shard recycles its worker — and the answer is
         # untouched.
-        cfg = self._cfg(shm="off", memory_budget_bytes=1)
+        cfg = self._cfg(memory_budget_bytes=1)
         events = EventLog()
         with telemetry_session() as tel:
             got = engine_mttkrp(
@@ -251,7 +253,7 @@ class TestProcessPressure:
         events = EventLog()
         with telemetry_session() as tel:
             got = engine_mttkrp(
-                tensor, factors, 0, "coo", self._cfg(shm="on"), PlanCache(),
+                tensor, factors, 0, "coo", self._cfg(), PlanCache(),
                 faults=inj, events=events,
             )
         assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
@@ -268,7 +270,7 @@ class TestProcessPressure:
     def test_memory_budget_downgrades_shm_dispatch(self, tensor, factors):
         # A budget far below the factor-matrix footprint: the pre-dispatch
         # lease block must fail and the whole dispatch fall back to pipes.
-        cfg = self._cfg(shm="on", memory_budget_bytes=64)
+        cfg = self._cfg(memory_budget_bytes=64)
         events = EventLog()
         got = engine_mttkrp(
             tensor, factors, 0, "coo", cfg, PlanCache(), events=events,

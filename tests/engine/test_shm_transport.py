@@ -1,10 +1,10 @@
 """The zero-copy shared-memory shard transport, end to end.
 
-Contract under test (the PR-9 tentpole): with ``EngineConfig.shm`` on, the
-processes backend publishes factor matrices once per dispatch into pooled
+Contract under test: on a host with POSIX shared memory, the processes
+backend publishes factor matrices once per dispatch into pooled
 shared-memory segments and collects each shard from a parent-allocated shm
-accumulator — bitwise identical to the pipe transport, the threads
-backend, and serial execution; span-shape identical to every other
+accumulator — bitwise identical to the pipe transport (the same backend on
+a host without shared memory), the threads backend, and serial execution; span-shape identical to every other
 backend (with a truthful ``transport`` attr); and leak-free: zero shm
 segments survive ``shutdown_backends()``, worker respawn flushes idle
 segments, and every fault path discards (never recycles) the abandoned
@@ -17,6 +17,7 @@ excluded from tier-1; it runs via ``scripts/run_fault_suite.py``.
 import numpy as np
 import pytest
 
+import repro.engine.backends.shm as shm_mod
 from repro.engine import (
     EngineConfig,
     PlanCache,
@@ -64,27 +65,42 @@ def _reap_workers():
     shutdown_backends()
 
 
-def _cfg(shm="on", **overrides):
-    kw = dict(shards=SHARDS, chunk=256, backend="processes", shm=shm)
+def _cfg(**overrides):
+    kw = dict(shards=SHARDS, chunk=256, backend="processes")
     kw.update(overrides)
     return EngineConfig(**kw)
 
 
+#: The engine config and host of each shard transport: ``pipe`` is the
+#: processes backend on a host without shared memory.
+TRANSPORTS = (
+    ("serial", EngineConfig(shards=SHARDS, chunk=256, backend="serial"), True),
+    ("threads", EngineConfig(shards=SHARDS, chunk=256, backend="threads"), True),
+    ("pipe", _cfg(), False),
+    ("shm", _cfg(), True),
+)
+
+
+def _on_host(monkeypatch, has_shm, fn):
+    """Run *fn* on a host with or without POSIX shared memory."""
+    with monkeypatch.context() as m:
+        if not has_shm:
+            m.setattr(shm_mod, "shm_available", lambda: False)
+        return fn()
+
+
 class TestParity:
     def test_every_backend_and_transport_bitwise_identical(
-        self, tensor, factors
+        self, tensor, factors, monkeypatch
     ):
         cache = PlanCache()
         for mode in range(tensor.ndim):
             ref = mttkrp_coo(tensor, factors, mode)
-            for cfg in (
-                EngineConfig(shards=SHARDS, chunk=256, backend="serial"),
-                EngineConfig(shards=SHARDS, chunk=256, backend="threads"),
-                _cfg(shm="off"),
-                _cfg(shm="on"),
-            ):
-                got = engine_mttkrp(tensor, factors, mode, "coo", cfg, cache)
-                assert np.array_equal(ref, got), (cfg.backend, cfg.shm, mode)
+            for label, cfg, has_shm in TRANSPORTS:
+                got = _on_host(monkeypatch, has_shm, lambda: engine_mttkrp(
+                    tensor, factors, mode, "coo", cfg, cache
+                ))
+                assert np.array_equal(ref, got), (label, mode)
 
     def test_repeat_dispatches_reuse_segments(self, tensor, factors):
         """One write, N readers, pooled: the second and third dispatch
@@ -95,7 +111,7 @@ class TestParity:
             cache = PlanCache()
             for _ in range(3):
                 got = engine_mttkrp(
-                    tensor, factors, 0, "coo", _cfg(shm="on"), cache
+                    tensor, factors, 0, "coo", _cfg(), cache
                 )
                 assert np.array_equal(ref, got)
         counters = tel.metrics.summary()["counters"]
@@ -114,17 +130,16 @@ class TestSpanShapes:
             shutdown_backends()
         return tel
 
-    def test_trace_shapes_match_across_transports(self, tensor, factors):
-        """PR-7 contract, extended: the trace *shape* is transport-
-        independent, and every shard span names the transport that ran."""
+    def test_trace_shapes_match_across_transports(
+        self, tensor, factors, monkeypatch
+    ):
+        """The trace *shape* is transport-independent, and every shard
+        span names the transport that ran."""
         shapes, transports = {}, {}
-        for label, cfg in (
-            ("serial", EngineConfig(shards=SHARDS, chunk=256, backend="serial")),
-            ("threads", EngineConfig(shards=SHARDS, chunk=256, backend="threads")),
-            ("pipe", _cfg(shm="off")),
-            ("shm", _cfg(shm="on")),
-        ):
-            tel = self._traced(tensor, factors, cfg)
+        for label, cfg, has_shm in TRANSPORTS:
+            tel = _on_host(
+                monkeypatch, has_shm, lambda: self._traced(tensor, factors, cfg)
+            )
             shapes[label] = sorted(
                 (s.name, s.attrs.get("shard"))
                 for s in tel.record.spans
@@ -149,7 +164,7 @@ class TestSpanShapes:
     def test_worker_attribution_survives_shm(self, tensor, factors):
         """Kernel spans still ship from the worker over the reply pipe;
         only the array payloads moved to shared memory."""
-        tel = self._traced(tensor, factors, _cfg(shm="on"))
+        tel = self._traced(tensor, factors, _cfg())
         shard_ids = {s.id for s in tel.record.spans if s.name == "shard"}
         kernels = [s for s in tel.record.spans if s.name == "shard_kernel"]
         assert len(kernels) == SHARDS
@@ -162,7 +177,7 @@ class TestSpanShapes:
 class TestLeakHygiene:
     def test_shutdown_unlinks_every_segment(self, tensor, factors):
         backend = get_backend("processes")
-        engine_mttkrp(tensor, factors, 0, "coo", _cfg(shm="on"), PlanCache())
+        engine_mttkrp(tensor, factors, 0, "coo", _cfg(), PlanCache())
         names = backend._shm_pool.segment_names()
         assert names  # the shm transport actually ran
         shutdown_backends()
@@ -175,7 +190,7 @@ class TestLeakHygiene:
         from a dispatch it did not see: respawn unlinks the free list."""
         shutdown_backends()
         backend = get_backend("processes")
-        engine_mttkrp(tensor, factors, 0, "coo", _cfg(shm="on"), PlanCache())
+        engine_mttkrp(tensor, factors, 0, "coo", _cfg(), PlanCache())
         names = backend._shm_pool.segment_names()
         assert len(names) == tensor.ndim + SHARDS
         backend._respawn(0)
@@ -185,7 +200,7 @@ class TestLeakHygiene:
                 attach_segment(name)
         # The next dispatch simply republishes into fresh segments.
         got = engine_mttkrp(
-            tensor, factors, 0, "coo", _cfg(shm="on"), PlanCache()
+            tensor, factors, 0, "coo", _cfg(), PlanCache()
         )
         assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
 
@@ -207,7 +222,7 @@ class TestFaultRecovery:
         backend = get_backend("processes")
         with telemetry_session() as tel:
             got = engine_mttkrp(
-                tensor, factors, 0, "coo", _cfg(shm="on"), PlanCache(),
+                tensor, factors, 0, "coo", _cfg(), PlanCache(),
                 faults=inj, events=events,
             )
         assert np.array_equal(ref, got)
@@ -234,7 +249,7 @@ class TestFaultRecovery:
         and the shm-collected result still matches serial bitwise."""
         shutdown_backends()
         ref = mttkrp_coo(tensor, factors, 0)
-        cfg = _cfg(shm="on", plan_store=tmp_path / "plans")
+        cfg = _cfg(plan_store=tmp_path / "plans")
         cache = PlanCache()
         # Warm the store so the injected fault has an entry to damage.
         assert np.array_equal(
@@ -263,7 +278,7 @@ class TestFaultRecovery:
         events = EventLog()
         backend = get_backend("processes")
         got = engine_mttkrp(
-            tensor, factors, 0, "coo", _cfg(shm="on", shard_timeout=0.05),
+            tensor, factors, 0, "coo", _cfg(shard_timeout=0.05),
             PlanCache(), faults=inj, events=events,
         )
         assert np.array_equal(ref, got)
@@ -282,7 +297,6 @@ class TestAttachFailure:
         any in-worker exception: the parent counts it, redoes the shard
         serially into a private buffer, and the result stays bitwise."""
         shutdown_backends()  # the fresh pool must fork with the patch below
-        import repro.engine.backends.shm as shm_mod
 
         def refuse(name):
             raise ShmAttachError(f"injected attach failure for {name!r}")
@@ -293,7 +307,7 @@ class TestAttachFailure:
         try:
             with telemetry_session() as tel:
                 got = engine_mttkrp(
-                    tensor, factors, 0, "coo", _cfg(shm="on"), PlanCache(),
+                    tensor, factors, 0, "coo", _cfg(), PlanCache(),
                     events=events,
                 )
         finally:
@@ -398,28 +412,3 @@ class TestSegmentPool:
             assert pool.next_generation() == 3
         finally:
             pool.close()
-
-
-class TestDispatchOverheadBench:
-    def test_shm_dispatch_group_is_optional_and_well_formed(self):
-        """The opt-in shmdispatch bench group measures both transports and
-        validates against the BENCH schema; its baseline is marked
-        optional so default suite runs do not regress on its absence."""
-        from repro.obs.analysis.bench import run_bench_suite, validate_bench
-
-        doc = run_bench_suite(
-            wall=False, shm_bench=True,
-            shm_shards=2, shm_nnz=8_000, shm_repeats=1,
-        )
-        assert validate_bench(doc) == []
-        (group,) = [
-            g for g in doc["groups"] if g["figure"] == "shmdispatch"
-        ]
-        assert group["meta"]["optional"] is True
-        assert group["meta"]["shm_available"] is True
-        metrics = group["metrics"]
-        assert metrics["pipe.dispatch_s"] > 0.0
-        assert metrics["shm.dispatch_s"] > 0.0
-        assert metrics["shm_speedup"] == pytest.approx(
-            metrics["pipe.dispatch_s"] / metrics["shm.dispatch_s"]
-        )

@@ -126,6 +126,67 @@ class TestChromeTrace:
         assert loaded["otherData"]["kind"] == "test"
 
 
+class TestDeviceTrack:
+    """A whole cstf run's simulated kernel stream on the device track."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.core.config import CstfConfig
+        from repro.core.cstf import cstf
+        from repro.tensor.synthetic import random_sparse
+
+        tensor = random_sparse((15, 12, 9), nnz=150, seed=0)
+        result = cstf(tensor, CstfConfig(
+            rank=3, max_iters=2, update="cuadmm", device="h100",
+            telemetry=Telemetry(),
+        ))
+        trace = telemetry_to_chrome_trace(result.telemetry)
+        kernels = [e for e in trace["traceEvents"]
+                   if e["pid"] == PID_DEVICE and e["ph"] == "X"]
+        return result, trace, kernels
+
+    def test_event_per_kernel_record(self, run):
+        result, _, kernels = run
+        assert len(kernels) == len(result.telemetry.kernels)
+        launches = sum(e["args"]["launches"] for e in kernels)
+        assert launches == result.timeline.launch_count
+
+    def test_kernels_back_to_back_in_simulated_time(self, run):
+        _, _, kernels = run
+        end = 0.0
+        for e in sorted(kernels, key=lambda e: e["ts"]):
+            # ts and dur are each rounded to 1 ns (3 decimals in us).
+            assert e["ts"] >= end - 2e-3
+            end = e["ts"] + e["dur"]
+
+    def test_durations_match_timeline(self, run):
+        result, _, kernels = run
+        total_us = sum(e["dur"] for e in kernels)
+        assert total_us == pytest.approx(
+            result.timeline.total_seconds() * 1e6, rel=1e-3
+        )
+
+    def test_phase_tracks_named(self, run):
+        _, trace, _ = run
+        names = {e["args"]["name"] for e in trace["traceEvents"]
+                 if e["ph"] == "M" and e["pid"] == PID_DEVICE}
+        assert {"device (simulated)", "GRAM", "MTTKRP", "UPDATE"} <= names
+
+    def test_fused_admm_kernels_on_device_track(self, run):
+        _, _, kernels = run
+        # 2 AO iterations x 3 modes x 10 inner iterations of fused kernels.
+        assert len(kernels) > 40
+        assert any(e["name"] == "fused_auxiliary" for e in kernels)
+
+    def test_write_roundtrip_from_run_record(self, run, tmp_path):
+        result, _, _ = run
+        path = tmp_path / "trace.json"
+        write_telemetry_chrome_trace(result.telemetry, path)
+        loaded = json.loads(path.read_text())
+        assert loaded["otherData"]["device"] == "H100"
+        assert loaded["otherData"]["simulated_device_track"] is True
+
+
 def _worker_span(span_id, shard, pid, *, parent=None, name="shard_kernel"):
     return {
         "type": "span", "id": span_id, "parent": parent, "name": name,

@@ -298,8 +298,47 @@ class TestWatchVerb:
              "--plan-store-bytes", "4096"]
         )
         setting = _engine_setting(args)
-        assert setting["plan_store"] == str(tmp_path / "plans")
-        assert setting["plan_store_bytes"] == 4096
+        assert setting.plan_store == str(tmp_path / "plans")
+        assert setting.plan_store_bytes == 4096
+
+
+class TestEngineFlags:
+    """Per-field engine flags apply over the ``--engine`` preset."""
+
+    def _config(self, *flags):
+        from repro.cli import _engine_setting
+        from repro.engine.config import resolve_engine
+
+        return resolve_engine(_engine_setting(
+            build_parser().parse_args(["factorize", "x.tns", *flags])
+        ))
+
+    def test_memory_budget_keeps_processes_preset(self):
+        from repro.engine.config import default_shards
+
+        cfg = self._config("--engine", "processes", "--memory-budget", "4096")
+        assert cfg.backend == "processes"
+        assert cfg.shards == default_shards()
+        assert cfg.memory_budget_bytes == 4096
+
+    def test_plan_store_keeps_sharded_preset(self, tmp_path):
+        from repro.engine.config import default_shards
+
+        cfg = self._config("--engine", "sharded", "--plan-store", str(tmp_path))
+        assert cfg.shards == default_shards()
+        assert cfg.plan_store == str(tmp_path)
+
+    def test_engine_off_rejects_engine_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["factorize", "x.tns", "--engine", "off", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "--engine off takes no other engine flags" in capsys.readouterr().err
+
+    def test_plan_store_bytes_requires_plan_store(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["factorize", "x.tns", "--plan-store-bytes", "4096"])
+        assert exc.value.code == 2
+        assert "--plan-store-bytes requires --plan-store" in capsys.readouterr().err
 
 
 class TestTrace:

@@ -5,12 +5,9 @@ import doctest
 import pytest
 
 import repro
-import repro.machine.traceviz as traceviz
 
 
-@pytest.mark.parametrize(
-    "module", [repro, traceviz], ids=lambda m: m.__name__
-)
+@pytest.mark.parametrize("module", [repro], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.attempted > 0, f"{module.__name__} should carry runnable examples"
