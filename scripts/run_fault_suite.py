@@ -17,7 +17,9 @@ failure reproduces locally from the same command:
 plus a supervised chaos run on the ``processes`` execution backend that
 SIGKILLs a worker mid-MTTKRP *and* corrupts an on-disk plan-store entry,
 asserting bit-identical convergence with ``worker_lost`` and
-``plan_repaired`` events and a schema-valid trace. The chaos run executes
+``plan_repaired`` events, a schema-valid trace, and an
+``engine.blas.pinned`` gauge in the first telemetry batch of every worker
+process, respawned ones included. The chaos run executes
 **twice** — once on this host (zero-copy shared-memory transport where
 POSIX shared memory works) and once on a simulated host without shared
 memory (pipe transport) — and each trace is checked with
@@ -192,9 +194,14 @@ print("chaos OK: faults=%d, recoveries=%s" % (
 # dead worker (worker_lost), the store must quarantine the damaged entry
 # (plan_repaired), and the factors must still match the serial-backend run
 # bit for bit. Trace stays schema-valid and complete — every shard span
-# keeps a worker-attributed kernel span (checked by the caller).
+# keeps a worker-attributed kernel span (checked by the caller). Every
+# worker process, respawned ones included, pins its BLAS to one thread and
+# says so in its first telemetry batch (engine.blas.pinned).
 _PROCESS_CHAOS_SNIPPET = """
+import os
+
 import numpy as np
+import repro.engine.backends.base as _base
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.engine import shutdown_pools
@@ -202,6 +209,15 @@ from repro.engine.backends.shm import shm_available
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 from repro.tensor.coo import SparseTensor
+
+batches = []
+_merge = _base.merge_worker_batch
+
+def _record_batch(tel, batch, **kw):
+    batches.append(batch)
+    return _merge(tel, batch, **kw)
+
+_base.merge_worker_batch = _record_batch
 
 rng = np.random.default_rng(0)
 idx = rng.integers(0, [40, 30, 20], size=(2500, 3))
@@ -246,10 +262,26 @@ assert "worker_lost" in kinds, (
 assert "plan_repaired" in kinds, (
     f"no plan_repaired event despite corrupt_store faults (saw {sorted(kinds)})"
 )
+# First batch of each worker process, in order of arrival; the parent's
+# serial redos ship batches under its own pid and are left out.
+first = {}
+for batch in batches:
+    if batch is not None and batch["pid"] != os.getpid():
+        first.setdefault(batch["pid"], batch)
+pids_by_slot = {}
+for pid, batch in first.items():
+    pids_by_slot.setdefault(batch["worker"], []).append(pid)
+respawned = [pid for pids in pids_by_slot.values() for pid in pids[1:]]
+assert respawned, f"no respawned worker shipped a batch: {pids_by_slot}"
+unpinned = [pid for pid, batch in first.items()
+            if batch["gauges"].get("engine.blas.pinned", 0) < 1]
+assert not unpinned, f"worker batches without engine.blas.pinned: {unpinned}"
 shutdown_pools()
-print("process chaos OK (shm=%s): faults=%d, kinds=%s" % (
+print("process chaos OK (shm=%s): faults=%d, kinds=%s, respawned workers "
+      "pinned=%d" % (
     shm_available(), injector.injected,
-    ",".join(sorted(kinds & {"worker_lost", "plan_repaired"}))))
+    ",".join(sorted(kinds & {"worker_lost", "plan_repaired"})),
+    len(respawned)))
 """
 
 

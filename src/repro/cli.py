@@ -471,11 +471,14 @@ def _cmd_perf(args, out) -> int:
     ta = analyze_trace(record)
 
     rows = [
-        [r["phase"], f"{r['seconds'] * 1e3:.3f} ms", f"{100 * r['share']:.1f}%"]
+        [r["phase"], f"{r['seconds'] * 1e3:.3f} ms", f"{100 * r['share']:.1f}%",
+         f"{r['host_seconds'] * 1e3:.3f} ms"]
         for r in ta.phase_table()
     ]
-    print(format_table(["phase", "simulated time", "share"], rows,
-                       title="phase attribution"), file=out)
+    run_s = sum(s.dur for s in record.spans if s.name == "run")
+    print(format_table(["phase", "simulated time", "share", "host time"], rows,
+                       title=f"phase attribution (host run span "
+                             f"{run_s * 1e3:.3f} ms)"), file=out)
 
     rows = []
     for stat in ta.kernel_hotspots(args.top):

@@ -36,6 +36,7 @@ from repro.core.trace import (
     PHASE_NORMALIZE,
     PHASE_UPDATE,
 )
+from repro.engine.blas import single_threaded
 from repro.kernels.gram import hadamard_of_grams
 from repro.kernels.mttkrp_alto import mttkrp_alto
 from repro.kernels.mttkrp_blco import mttkrp_blco
@@ -227,7 +228,10 @@ def cstf(tensor, config: CstfConfig | None = None, **overrides) -> CstfResult:
     # session so deep call sites (MTTKRP kernels, ADMM inner loops) can
     # self-instrument; the default resolves to a no-op with zero overhead.
     tel = resolve_telemetry(config.telemetry)
-    with tel.activate(), tel.span("run"):
+    # One BLAS thread for the whole run: the engine's shards hold the
+    # host parallelism (see repro.engine.blas).
+    with tel.activate(), tel.span("run"), single_threaded() as pinned:
+        tel.gauge("engine.blas.pinned", pinned)
         result = _cstf_run(tensor, config, tel)
     tel.flush()
     return result

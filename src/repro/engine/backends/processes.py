@@ -169,11 +169,16 @@ def _worker_main(conn, worker_id: int) -> None:
     with a final ``("flush", batch)`` carrying whatever is still
     unshipped, so end-of-run traces are never truncated.
     """
+    from repro.engine.blas import pin_process
     from repro.engine.execute import run_stream
     from repro.obs.worker import WorkerTelemetrySession
 
     session = WorkerTelemetrySession(worker_id=worker_id)
     session.push()
+    # One BLAS thread for the worker's life, whether it was forked inside
+    # a pinned run, spawned fresh or respawned after a loss; the gauge
+    # ships with the worker's first captured batch.
+    session.gauge("engine.blas.pinned", pin_process())
     store = None
     plans: OrderedDict = OrderedDict()
     last_gen = 0

@@ -4,9 +4,9 @@ Consumes one telemetry source (a live :class:`~repro.obs.record.RunRecord`
 or an emitted JSONL file, via :func:`~repro.obs.analysis.ingest.load_run`)
 and answers the questions the paper's evaluation asks of every run:
 
-- **where did the simulated time go** — per-phase and per-kernel
-  attribution with shares (:meth:`TraceAnalysis.phase_table`,
-  :meth:`TraceAnalysis.kernel_hotspots`);
+- **where did the time go** — per-phase attribution of simulated device
+  time next to measured host time, and per-kernel attribution with shares
+  (:meth:`TraceAnalysis.phase_table`, :meth:`TraceAnalysis.kernel_hotspots`);
 - **what chain of work bounded the run** — the host-span critical path
   (:meth:`TraceAnalysis.critical_path`);
 - **do the fusion/pre-inversion claims hold** — modeled-bytes accounting of
@@ -20,6 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.trace import (
+    PHASE_FIT,
+    PHASE_GRAM,
+    PHASE_MTTKRP,
+    PHASE_NORMALIZE,
+    PHASE_UPDATE,
+)
 from repro.machine.costmodel import admm_aux_formation_words, admm_aux_step_words
 from repro.machine.counters import WORD_BYTES
 from repro.machine.spec import get_device
@@ -37,6 +44,18 @@ __all__ = [
     "PreinversionReport",
     "preinversion_report",
 ]
+
+
+#: The driver's phase spans (:mod:`repro.core.cstf`) and the phase each
+#: times; their host durations make the host column of the phase table.
+_PHASE_SPANS = {
+    "gram_init": PHASE_GRAM,
+    "gram": PHASE_GRAM,
+    "mttkrp": PHASE_MTTKRP,
+    "update": PHASE_UPDATE,
+    "normalize": PHASE_NORMALIZE,
+    "fit": PHASE_FIT,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -114,14 +133,23 @@ class TraceAnalysis:
         return self.record.sim_total_seconds()
 
     def phase_table(self) -> list[dict]:
-        """One row per phase: simulated seconds, share, flops, bytes.
+        """One row per phase: simulated seconds, share, flops, bytes, and
+        ``host_seconds``, the summed host time of the driver's spans for
+        that phase (``gram_init`` counts as GRAM).
 
-        Sorted by seconds descending; shares sum to 1 over phases that
-        charged any time.
+        Sorted by simulated seconds descending; shares (of simulated time)
+        sum to 1 over phases that charged any time.
         """
         total = self.total_sim_seconds()
+        sim = self.record.sim_phase_seconds
+        host: dict[str, float] = {}
+        for span in self.record.spans:
+            phase = _PHASE_SPANS.get(span.name)
+            if phase is not None:
+                host[phase] = host.get(phase, 0.0) + span.dur
         rows = []
-        for phase, seconds in self.record.sim_phase_seconds.items():
+        for phase in {**sim, **host}:
+            seconds = sim.get(phase, 0.0)
             rows.append(
                 {
                     "phase": phase,
@@ -129,6 +157,7 @@ class TraceAnalysis:
                     "share": seconds / total if total > 0 else 0.0,
                     "flops": self.record.sim_phase_flops.get(phase, 0.0),
                     "bytes": self.record.sim_phase_bytes.get(phase, 0.0),
+                    "host_seconds": host.get(phase, 0.0),
                 }
             )
         rows.sort(key=lambda r: r["seconds"], reverse=True)

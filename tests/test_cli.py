@@ -169,6 +169,28 @@ class TestPerfVerb:
         assert "paper claim ~2/3" in text
         assert "pre-inversion on" in text
 
+    def test_perf_phase_table_has_host_column(self):
+        import re
+
+        code, text = _run(["perf", "uber", "--rank", "2", "--iters", "2",
+                           "--nnz", "1000"])
+        assert code == 0
+        lines = text.splitlines()
+        title = next(i for i, ln in enumerate(lines)
+                     if ln.startswith("phase attribution"))
+        run_ms = float(re.search(r"host run span ([\d.]+) ms", lines[title])[1])
+        assert lines[title + 2].split()[-2:] == ["host", "time"]
+        host_ms = []
+        for row in lines[title + 4:]:
+            cells = row.split()
+            if not cells or cells[0] not in ("GRAM", "MTTKRP", "UPDATE",
+                                             "NORMALIZE", "FIT"):
+                break
+            host_ms.append(float(cells[-2]))
+        assert len(host_ms) == 5
+        assert all(ms > 0 for ms in host_ms)
+        assert 0 < sum(host_ms) <= run_ms
+
     def test_perf_missing_jsonl_exits_2(self, tmp_path, capsys):
         code, _ = _run(["perf", str(tmp_path / "gone.jsonl")])
         assert code == 2
