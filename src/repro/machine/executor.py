@@ -13,7 +13,9 @@ of these ops. Each op
 Op granularity mirrors the cuBLAS/cuSOLVER calls the paper's baseline uses
 (DGEAM, DGEMM, DSYRK, DPOTRF, DTRSM, reductions) plus the three custom fused
 kernels of cuADMM (Section 4.3.1): ``fused_auxiliary``,
-``fused_prox_primal``, and ``fused_dual_update``.
+``fused_prox_primal``, and ``fused_dual_update``. The fused ADMM loop runs
+all three, with the apply-inverse in between, as one row-tiled sweep
+(:meth:`Executor.fused_admm_sweep`) that charges the same kernels.
 """
 
 from __future__ import annotations
@@ -30,7 +32,20 @@ from repro.machine.counters import WORD_BYTES, KernelRecord, Timeline
 from repro.machine.spec import DeviceSpec, get_device
 from repro.machine.symbolic import SymArray, is_symbolic
 
-__all__ = ["Executor"]
+__all__ = ["Executor", "SWEEP_TILE_ELEMS", "sweep_tile_rows"]
+
+#: Elements per row tile of :meth:`Executor.fused_admm_sweep`: 512 rows at
+#: R=32, 128 KiB per operand, so the seven I×R operands a tile touches
+#: (M, H, U, H̃, H̄, new H, new U) stay inside a 2 MiB L2 while the tile is
+#: worked on. Measured in docs/PERFORMANCE.md "Row-tiled ADMM sweep".
+SWEEP_TILE_ELEMS = 16_384
+
+#: Per-element (flops, reads, writes) of the three cuADMM fused kernels.
+_FUSED_WORDS = {
+    "fused_auxiliary": (3, 3, 1),
+    "fused_prox_primal": (3, 2, 2),
+    "fused_dual_update": (10, 5, 2),
+}
 
 
 def _shape(x) -> tuple[int, ...]:
@@ -39,6 +54,79 @@ def _shape(x) -> tuple[int, ...]:
 
 def _size(x) -> int:
     return math.prod(_shape(x))
+
+
+def sweep_tile_rows(op: ProximalOperator, rows: int, rank: int) -> int:
+    """Rows per tile of the fused ADMM sweep over a ``rows``×``rank`` factor.
+
+    Only elementwise proximity operators are split; the others (simplex,
+    smoothness) run as one tile covering every row.
+    """
+    if not op.elementwise:
+        return rows
+    return min(rows, max(2, SWEEP_TILE_ELEMS // max(rank, 1)))
+
+
+def _row_tiles(rows: int, tile_rows: int):
+    """``(start, stop)`` row ranges of the sweep, at most *tile_rows* each.
+
+    A tile is a lone row only when the factor is: BLAS computes a one-row
+    product with its vector kernels (GEMV/TRSV), which round differently
+    from the GEMM/TRSM of a whole-array call, so a lone trailing row is
+    folded into a two-row last tile instead.
+    """
+    start = 0
+    while start < rows:
+        stop = min(start + tile_rows, rows)
+        if rows - stop == 1 and stop - start > 1:
+            stop -= 1
+        yield start, stop
+        start = stop
+
+
+def _peak(a: float, b: float) -> float:
+    """``max(a, b)`` that keeps a NaN from either side (Python's ``max``
+    drops or keeps a NaN depending on argument order)."""
+    return a if a != a or a >= b else b
+
+
+def _solve_triangular(l_factor, b, lower: bool = True, transpose: bool = False):
+    """``op(L) X = B`` for triangular ``L``; ``op`` transposes when asked."""
+    mat = np.asarray(l_factor, dtype=np.float64)
+    return scipy.linalg.solve_triangular(
+        mat.T if transpose else mat, np.asarray(b, dtype=np.float64),
+        lower=lower != transpose,
+    )
+
+
+# The bodies of the cuADMM fused kernels, on whole arrays or one row tile.
+# Each writes into ``out`` when given (``_dual_update`` puts ΔH and then
+# H - H_prev into ``scratch``, which may alias ``h_aux``); the elementwise
+# operations and their order are the same either way, so in-place results
+# are bitwise equal to fresh ones.
+def _auxiliary(m, h, u, rho, out):
+    out = np.add(h, u, out=out)
+    np.multiply(rho, out, out=out)
+    return np.add(m, out, out=out)
+
+
+def _prox_primal(op, h_aux, u, rho, out):
+    diff = np.subtract(h_aux, u, out=out)
+    return op(diff, rho, out=diff)
+
+
+def _dual_update(u, h, h_aux, h_prev, out, scratch):
+    dh = np.subtract(h, h_aux, out=scratch)
+    u_new = np.add(u, dh, out=out)
+    r_primal = float(np.vdot(dh, dh).real)
+    d_prev = np.subtract(h, h_prev, out=dh)
+    return (
+        u_new,
+        r_primal,
+        float(np.vdot(h, h).real),
+        float(np.vdot(d_prev, d_prev).real),
+        float(np.vdot(u_new, u_new).real),
+    )
 
 
 class Executor:
@@ -233,15 +321,18 @@ class Executor:
     # ------------------------------------------------------------------ #
     # BLAS-2/3 kernels
     # ------------------------------------------------------------------ #
-    def gemm(self, a, b, name: str = "dgemm", *, out=None):
-        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency.
-
-        ``out`` receives the product in place (same BLAS call, same bits).
-        """
+    def gemm(self, a, b, name: str = "dgemm"):
+        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency."""
         m, k = _shape(a)
         k2, n = _shape(b)
         if k != k2:
             raise ValueError(f"gemm shape mismatch: {(m, k)} @ {(k2, n)}")
+        self._charge_gemm(name, m, k, n)
+        if is_symbolic(a, b):
+            return SymArray((m, n))
+        return np.asarray(a) @ np.asarray(b)
+
+    def _charge_gemm(self, name: str, m: int, k: int, n: int) -> None:
         self.record(
             name,
             flops=2.0 * m * k * n,
@@ -250,9 +341,6 @@ class Executor:
             parallel_work=m * n,
             compute_efficiency=self.device.gemm_efficiency,
         )
-        if is_symbolic(a, b):
-            return SymArray((m, n))
-        return np.matmul(np.asarray(a), np.asarray(b), out=out)
 
     def gemv(self, a, x, name: str = "dgemv"):
         """``A @ x``: flops 2·m·n (HALS's per-rank kernel)."""
@@ -327,6 +415,12 @@ class Executor:
         rb, nrhs = _shape(b)
         if r != r2 or rb != r:
             raise ValueError(f"trsm shape mismatch: L {(r, r2)}, B {(rb, nrhs)}")
+        self._charge_trsm(name, r, nrhs)
+        if is_symbolic(l_factor, b):
+            return SymArray((r, nrhs))
+        return _solve_triangular(l_factor, b, lower, transpose)
+
+    def _charge_trsm(self, name: str, r: int, nrhs: int) -> None:
         self.record(
             name,
             flops=float(r) * r * nrhs,
@@ -337,13 +431,6 @@ class Executor:
             serial_steps=r,
             compute_efficiency=self.device.trsm_efficiency,
             utilization_exempt=True,
-        )
-        if is_symbolic(l_factor, b):
-            return SymArray((r, nrhs))
-        mat = np.asarray(l_factor, dtype=np.float64)
-        return scipy.linalg.solve_triangular(
-            mat.T if transpose else mat, np.asarray(b, dtype=np.float64),
-            lower=lower != transpose,
         )
 
     def cholesky_solve(self, l_factor, b):
@@ -363,27 +450,28 @@ class Executor:
     # ------------------------------------------------------------------ #
     # cuADMM fused kernels (Section 4.3.1)
     #
-    # Each takes ``out=`` so the inner loop can run on reused buffers (see
-    # ``AdmmUpdate``); the elementwise operations and their order are the
-    # same either way, so in-place results are bitwise equal to fresh ones.
+    # The whole-array kernels run the module-level ``_auxiliary`` /
+    # ``_prox_primal`` / ``_dual_update`` once; the row-tiled sweep below
+    # runs the same bodies tile by tile.
     # ------------------------------------------------------------------ #
-    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary",
-                        *, out=None):
+    def _charge_fused(self, kernel: str, n: int, name: str | None = None) -> None:
+        flops, reads, writes = _FUSED_WORDS[kernel]
+        self.record(name or kernel, flops=flops * n, reads=reads * n, writes=writes * n,
+                    parallel_work=n)
+
+    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary"):
         """``H̃ = M + ρ(H + U)`` in one kernel: 3n reads, n writes.
 
         The unfused equivalent is two DGEAM calls (4n reads, 2n writes) —
         the ~33 % traffic saving the paper quotes.
         """
-        n = _size(m)
-        self.record(name, flops=3 * n, reads=3 * n, writes=n, parallel_work=n)
+        self._charge_fused("fused_auxiliary", _size(m), name)
         if is_symbolic(m, h, u):
             return SymArray(_shape(m))
-        out = np.add(h, u, out=out)
-        np.multiply(rho, out, out=out)
-        return np.add(m, out, out=out)
+        return _auxiliary(m, h, u, rho, None)
 
     def fused_prox_primal(self, op: ProximalOperator, h_aux, u, rho: float,
-                          name: str = "fused_prox_primal", *, out=None):
+                          name: str = "fused_prox_primal"):
         """``H = prox_r(H̃ - U)`` in one kernel.
 
         No intermediate global store of ``H̃ - U`` as a *separate kernel's*
@@ -392,15 +480,12 @@ class Executor:
         conservative traffic accounting: fusion removes kernel round-trips,
         not the fundamental stores.
         """
-        n = _size(h_aux)
-        self.record(name, flops=3 * n, reads=2 * n, writes=2 * n, parallel_work=n)
+        self._charge_fused("fused_prox_primal", _size(h_aux), name)
         if is_symbolic(h_aux, u):
             return SymArray(_shape(h_aux))
-        diff = np.subtract(h_aux, u, out=out)
-        return op(diff, rho, out=diff)
+        return _prox_primal(op, h_aux, u, rho, None)
 
-    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update",
-                          *, out=None, scratch=None):
+    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update"):
         """Dual update and all four convergence reductions in one kernel.
 
         Computes ``ΔH = H - H̃``, ``U += ΔH``, and co-computes
@@ -408,23 +493,86 @@ class Executor:
         registers: 5n reads (U, H, H̃, H_prev, plus the prox kernel's
         difference tile), 2n writes (U and the materialized ΔH), versus the
         unfused path's three DGEAMs plus four separate reduction kernels.
-
-        ``out`` receives the new U; ``scratch`` (which may alias ``h_aux``)
-        holds ΔH and then ``H - H_prev``.
         """
-        n = _size(u)
-        self.record(name, flops=10 * n, reads=5 * n, writes=2 * n, parallel_work=n)
+        self._charge_fused("fused_dual_update", _size(u), name)
         if is_symbolic(u, h, h_aux, h_prev):
             nan = float("nan")
             return SymArray(_shape(u)), nan, nan, nan, nan
-        dh = np.subtract(h, h_aux, out=scratch)
-        u_new = np.add(u, dh, out=out)
-        r_primal = float(np.vdot(dh, dh).real)
-        d_prev = np.subtract(h, h_prev, out=dh)
-        return (
-            u_new,
-            r_primal,
-            float(np.vdot(h, h).real),
-            float(np.vdot(d_prev, d_prev).real),
-            float(np.vdot(u_new, u_new).real),
-        )
+        return _dual_update(u, h, h_aux, h_prev, None, None)
+
+    def _apply_inverse(self, h_aux, l_factor, g_inv, out=None):
+        """``H̃ (LLᵀ)⁻¹`` for a block of rows, uncharged: one GEMM with the
+        explicit inverse when there is one, else the forward and backward
+        triangular solves on the transposed block."""
+        if g_inv is not None:
+            return np.matmul(h_aux, g_inv, out=out)
+        y = _solve_triangular(l_factor, h_aux.T)
+        return _solve_triangular(l_factor, y, transpose=True).T
+
+    def fused_admm_sweep(self, op: ProximalOperator, m, h, u, rho: float, l_factor,
+                         g_inv=None, *, h_out=None, u_out=None, scratch=None):
+        """One fused cuADMM inner iteration as a single pass over row tiles.
+
+        Per tile of :func:`sweep_tile_rows` rows, while the tile is in
+        cache: ``H̃ = M + ρ(H+U)``, ``H̄ = H̃(S+ρI)⁻¹`` (a GEMM with the
+        pre-inverted *g_inv* when given, else two triangular solves with
+        the Cholesky factor *l_factor*), ``H = prox(H̄-U)``, ``ΔH = H - H̄``,
+        ``U += ΔH``, the tile's share of the four residual norms and the
+        extremes of the new H and U. ADMM is separable over factor rows, so
+        H and U are bitwise equal to the whole-array kernels; the norms are
+        sums of per-tile dot products, equal up to rounding.
+
+        Charges the whole-array iteration's kernels once, in its order:
+        ``fused_auxiliary``, ``dgemm_apply_inverse`` or ``dtrsm_fwd`` +
+        ``dtrsm_bwd``, ``fused_prox_primal``, ``fused_dual_update``. The
+        ones after the first solve are charged when every tile is done, so
+        a solve that raises (SciPy's finiteness check on a non-finite H̃)
+        leaves the iteration charged up to ``dtrsm_fwd``, as the
+        whole-array loop was.
+
+        ``h_out``/``u_out`` receive the new H and U (neither may alias
+        *h* or *u*); ``scratch`` is a pair of buffers of at least one tile
+        for H̃ (then ΔH) and H̄. Returns ``(H, U, ‖ΔH‖², ‖H‖², ‖H−H_prev‖²,
+        ‖U‖², peak)`` where ``peak = max(|H|, |U|)``, NaN if either holds a
+        NaN; NaN scalars and shape-only arrays in symbolic mode.
+        """
+        rows, rank = _shape(m)
+        n = rows * rank
+        self._charge_fused("fused_auxiliary", n)
+        if g_inv is not None:
+            self._charge_gemm("dgemm_apply_inverse", rows, rank, rank)
+        else:
+            self._charge_trsm("dtrsm_fwd", rank, rows)
+        if is_symbolic(m, h, u):
+            if g_inv is None:
+                self._charge_trsm("dtrsm_bwd", rank, rows)
+            self._charge_fused("fused_prox_primal", n)
+            self._charge_fused("fused_dual_update", n)
+            nan = float("nan")
+            return SymArray((rows, rank)), SymArray((rows, rank)), nan, nan, nan, nan, nan
+        tile_rows = sweep_tile_rows(op, rows, rank)
+        if scratch is None:
+            scratch = (np.empty((tile_rows, rank)), np.empty((tile_rows, rank)))
+        h_out = np.empty((rows, rank)) if h_out is None else h_out
+        u_out = np.empty((rows, rank)) if u_out is None else u_out
+        r_primal = h_norm = r_dual = u_norm = peak = 0.0
+        for start, stop in _row_tiles(rows, tile_rows):
+            aux, bar = scratch[0][: stop - start], scratch[1][: stop - start]
+            h_prev, u_prev = h[start:stop], u[start:stop]
+            _auxiliary(m[start:stop], h_prev, u_prev, rho, aux)
+            bar = self._apply_inverse(aux, l_factor, g_inv, out=bar)
+            h_tile = _prox_primal(op, bar, u_prev, rho, h_out[start:stop])
+            u_tile, dr_primal, dh_norm, dr_dual, du_norm = _dual_update(
+                u_prev, h_tile, bar, h_prev, u_out[start:stop], aux,
+            )
+            r_primal += dr_primal
+            h_norm += dh_norm
+            r_dual += dr_dual
+            u_norm += du_norm
+            peak = _peak(peak, _peak(float(h_tile.max()), -float(h_tile.min())))
+            peak = _peak(peak, _peak(float(u_tile.max()), -float(u_tile.min())))
+        if g_inv is None:
+            self._charge_trsm("dtrsm_bwd", rank, rows)
+        self._charge_fused("fused_prox_primal", n)
+        self._charge_fused("fused_dual_update", n)
+        return h_out, u_out, r_primal, h_norm, r_dual, u_norm, peak

@@ -33,7 +33,10 @@ watch:
   checkpoint/plan-store writes skipped on ENOSPC
   (``checkpoint_skipped``/``store_skipped``), telemetry records dropped
   by a degraded sink (``obs.sink.dropped``) — plus how close the peak
-  worker RSS came to the configured budget.
+  worker RSS came to the configured budget;
+- **host hotspot** (info) — the phase that took the most measured host
+  time and its share of the ``run`` span, next to the phase that
+  dominates simulated device time when the two differ.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.analysis.ingest import load_run
+from repro.obs.analysis.trace import _PHASE_SPANS, TraceAnalysis
 from repro.obs.record import RunRecord, Span
 
 __all__ = ["Finding", "diagnose"]
@@ -52,6 +56,11 @@ BLCO_IMBALANCE_THRESHOLD = 2.0
 
 #: ρ histogram max/min spread that counts as thrash.
 RHO_SPREAD_THRESHOLD = 8.0
+
+#: Host seconds of the ``run`` span below which no host hotspot is named:
+#: a shorter run's phase split is mostly first-call cost (imports, plan
+#: builds, BLAS warm-up), not the steady state.
+HOST_HOTSPOT_MIN_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -508,6 +517,54 @@ def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
     ]
 
 
+def _detect_host_hotspot(record: RunRecord) -> list[Finding]:
+    """The phase with the most measured host time, as a share of the run.
+
+    Built from :meth:`TraceAnalysis.phase_table`'s ``host_seconds``; the
+    simulated dominant phase is named too when it is a different one,
+    since the cost model and the host can disagree on where time goes.
+    """
+    run_s = sum(s.dur for s in record.spans if s.name == "run")
+    if run_s < HOST_HOTSPOT_MIN_SECONDS:
+        return []
+    rows = TraceAnalysis(record).phase_table()
+    hot = max(rows, key=lambda r: r["host_seconds"], default=None)
+    if hot is None or hot["host_seconds"] <= 0.0:
+        return []
+    share = hot["host_seconds"] / run_s
+    summary = (
+        f"{hot['phase']} takes {share:.0%} of the run's host time "
+        f"({hot['host_seconds']:.3g} of {run_s:.3g} s)"
+    )
+    sim_hot = rows[0]  # phase_table sorts by simulated seconds
+    sim_phase = None
+    if sim_hot["seconds"] > 0.0 and sim_hot["phase"] != hot["phase"]:
+        sim_phase = sim_hot["phase"]
+        summary += (
+            f"; simulated device time is dominated by {sim_phase} "
+            f"({sim_hot['share']:.0%})"
+        )
+    return [
+        Finding(
+            code="host_hotspot",
+            severity="info",
+            summary=summary,
+            evidence={
+                "phase": hot["phase"],
+                "host_seconds": hot["host_seconds"],
+                "run_seconds": run_s,
+                "share": share,
+                "simulated_phase": sim_phase,
+                "span_ids": [
+                    s.id for s in record.spans
+                    if _PHASE_SPANS.get(s.name) == hot["phase"]
+                ],
+            },
+            score=share,
+        )
+    ]
+
+
 _DETECTORS = (
     _detect_admm_stall,
     _detect_rho_thrash,
@@ -518,6 +575,7 @@ _DETECTORS = (
     _detect_silent_workers,
     _detect_degraded_execution,
     _detect_resource_pressure,
+    _detect_host_hotspot,
 )
 
 

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.linalg.proximal import get_proximal
-from repro.machine.executor import Executor
+from repro.machine.executor import Executor, sweep_tile_rows
 from repro.machine.symbolic import SymArray, is_symbolic
 from repro.obs import current_telemetry
 from repro.resilience.events import (
@@ -152,8 +152,9 @@ class AdmmUpdate(UpdateMethod):
             l_factor, rho = self._factorize(ex, s_arr, rho, ctx, mode)
         g_inv = ex.spd_inverse(l_factor) if self.preinvert else None
 
-        # The fused loop writes every I×R intermediate into reused buffers;
-        # the caller's h and u are only ever read.
+        # The fused loop writes the new iterates into reused buffers and its
+        # intermediates into tile-sized scratch; the caller's h and u are
+        # only ever read.
         ws = self._workspace(h.shape) if self.fuse_ops and not symbolic else None
         residuals: list[tuple[float, float]] = []
         h0 = h  # pristine warm start, used by the fresh-restart fallback
@@ -171,13 +172,14 @@ class AdmmUpdate(UpdateMethod):
             solver_error = None
             try:
                 if self.fuse_ops:
-                    h_new, u_new, r_primal, r_dual = self._iter_fused(
+                    h_new, u_new, r_primal, r_dual, peak = self._iter_fused(
                         ex, m_mat, h, u, rho, l_factor, g_inv, ws
                     )
                 else:
                     h_new, u_new, r_primal, r_dual = self._iter_generic(
                         ex, m_mat, h, u, rho, l_factor, g_inv
                     )
+                    peak = None
             except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                 if ctx is None:
                     raise
@@ -185,11 +187,11 @@ class AdmmUpdate(UpdateMethod):
                 # solve when the RHS carries NaN/Inf — same root cause as a
                 # diverged iterate, so it takes the same escalation path.
                 solver_error = exc
-                h_new = u_new = None
+                h_new = u_new = peak = None
                 r_primal = r_dual = float("nan")
             if ctx is not None and (
                 solver_error is not None
-                or self._diverged(h_new, u_new, r_primal, r_dual, ctx, ref_scale)
+                or self._diverged(h_new, u_new, r_primal, r_dual, ctx, ref_scale, peak)
             ):
                 failures += 1
                 cause = (
@@ -294,11 +296,15 @@ class AdmmUpdate(UpdateMethod):
 
     @staticmethod
     def _diverged(
-        h_new, u_new, r_primal: float, r_dual: float, ctx, ref_scale: float
+        h_new, u_new, r_primal: float, r_dual: float, ctx, ref_scale: float,
+        peak: float | None = None,
     ) -> bool:
         """Blow-up test: any non-finite iterate/residual, or iterate
         magnitudes a ``divergence_threshold`` factor beyond the scale the
         warm start and RHS justify (finite but headed for overflow).
+
+        *peak* is ``max(|H|, |U|)`` when the iteration already has it (the
+        fused sweep keeps it per tile), else None and it is computed here.
 
         Residual *ratios* are deliberately not thresholded — their
         denominators legitimately approach zero on sparse factors (a mostly
@@ -307,7 +313,7 @@ class AdmmUpdate(UpdateMethod):
         if not (math.isfinite(r_primal) and math.isfinite(r_dual)):
             return True
         # NaN/±Inf entries make the magnitude non-finite.
-        magnitude = max(_max_abs(h_new), _max_abs(u_new))
+        magnitude = peak if peak is not None else max(_max_abs(h_new), _max_abs(u_new))
         if not math.isfinite(magnitude):
             return True
         return magnitude > ctx.policy.divergence_threshold * ref_scale
@@ -315,22 +321,25 @@ class AdmmUpdate(UpdateMethod):
     def _workspace(self, shape) -> "_Workspace":
         """Buffers of the fused loop for one update of an I×R factor.
 
-        The two scratch buffers persist across calls as flat arrays grown to
-        the largest factor seen, and every mode works on a view of them, so
-        one update object serves one factorization at a time.
+        The two scratch buffers hold one tile of the fused sweep. They
+        persist across calls as flat arrays grown to the largest tile seen,
+        and every mode works on a view of them, so one update object serves
+        one factorization at a time.
         """
-        size = math.prod(shape)
+        rows, rank = shape
+        tile_rows = sweep_tile_rows(self.prox, rows, rank)
+        size = tile_rows * rank
         if self._scratch[0].size < size:
             self._scratch = [np.empty(size), np.empty(size)]
-        aux, bar = (buf[:size].reshape(shape) for buf in self._scratch)
-        return _Workspace(aux, bar, shape)
+        scratch = tuple(buf[:size].reshape(tile_rows, rank) for buf in self._scratch)
+        return _Workspace(scratch, shape)
 
     # ------------------------------------------------------------------ #
-    def _solve(self, ex: Executor, h_aux, l_factor, g_inv, out=None):
+    def _solve(self, ex: Executor, h_aux, l_factor, g_inv):
         """Apply ``(S + ρI)⁻¹`` on the right of the I×R auxiliary matrix."""
         if self.preinvert:
             # H̄ = H̃ (LLᵀ)⁻¹ — a single GEMM (the inverse is symmetric).
-            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse", out=out)
+            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse")
         # Two serialized triangular solves on R×I right-hand sides; the
         # transposes are layout flags on DTRSM, not data movement.
         return ex.cholesky_solve(l_factor, h_aux.T).T
@@ -355,40 +364,39 @@ class AdmmUpdate(UpdateMethod):
         return h_new, u_new, r_primal, r_dual
 
     def _iter_fused(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv, ws=None):
-        """One inner iteration with the cuADMM fused kernels.
+        """One inner iteration with the cuADMM fused kernels, run as one
+        row-tiled sweep (:meth:`Executor.fused_admm_sweep`).
 
-        With a workspace, H̃ and H̄ reuse two scratch buffers and the new H
-        and U go to whichever ping-pong buffer does not hold the current
-        iterate, so ``(h, u)`` stay intact for a rollback.
+        With a workspace, H̃ and H̄ reuse two tile-sized scratch buffers and
+        the new H and U go to whichever ping-pong buffer does not hold the
+        current iterate, so ``(h, u)`` stay intact for a rollback. No DCOPY
+        of the old H either: the sweep reads it in place.
         """
-        aux = bar = h_out = u_out = None
+        h_out = u_out = scratch = None
         if ws is not None:
-            aux, bar = ws.aux, ws.bar
-            h_out, u_out = ws.next_h(h), ws.next_u(u)
-        h_prev = h  # No DCOPY: the fused dual kernel reads the old H in place.
-        h_aux = ex.fused_auxiliary(m_mat, h, u, rho, out=aux)
-        h_bar = self._solve(ex, h_aux, l_factor, g_inv, out=bar)
-        h_new = ex.fused_prox_primal(self.prox, h_bar, u, rho, out=h_out)
-        u_new, r_primal_num, h_norm, r_dual_num, u_norm = ex.fused_dual_update(
-            u, h_new, h_bar, h_prev, out=u_out, scratch=aux,
+            h_out, u_out, scratch = ws.next_h(h), ws.next_u(u), ws.scratch
+        h_new, u_new, r_primal_num, h_norm, r_dual_num, u_norm, peak = ex.fused_admm_sweep(
+            self.prox, m_mat, h, u, rho, l_factor, g_inv,
+            h_out=h_out, u_out=u_out, scratch=scratch,
         )
         r_primal = r_primal_num / max(h_norm, 1e-30)
         r_dual = r_dual_num / max(u_norm, 1e-30)
-        return h_new, u_new, r_primal, r_dual
+        return h_new, u_new, r_primal, r_dual, peak
 
 
 class _Workspace:
-    """The I×R buffers of one fused update.
+    """The buffers of one fused update.
 
-    ``aux`` holds H̃ and then ΔH, ``bar`` holds H̄; both are views of the
-    update's persistent scratch. ``h`` and ``u`` are ping-pong pairs for
-    the iterates, allocated up front so no inner iteration allocates. The
-    caller keeps the pair members holding the final iterates.
+    ``scratch`` is the sweep's pair of tile-sized views of the update's
+    persistent scratch: a tile's H̃ (then its ΔH) and its H̄. ``h`` and ``u``
+    are I×R ping-pong pairs for the iterates, allocated up front so no
+    inner iteration allocates; a rollback needs the previous iterate
+    intact, so they cannot shrink to a tile. The caller keeps the pair
+    members holding the final iterates.
     """
 
-    def __init__(self, aux, bar, shape):
-        self.aux = aux
-        self.bar = bar
+    def __init__(self, scratch, shape):
+        self.scratch = scratch
         self.h = (np.empty(shape), np.empty(shape))
         self.u = (np.empty(shape), np.empty(shape))
 

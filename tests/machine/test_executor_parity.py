@@ -57,6 +57,13 @@ OPS = {
     ),
     "fused_prox": lambda ex, h, s: ex.fused_prox_primal(get_proximal("nonneg"), h, h, 1.0),
     "fused_dual": lambda ex, h, s: ex.fused_dual_update(h, h, h, h),
+    "fused_sweep_gemm": lambda ex, h, s: ex.fused_admm_sweep(
+        get_proximal("nonneg"), h, h, h, 1.0, s, s
+    ),
+    "fused_sweep_trsm": lambda ex, h, s: ex.fused_admm_sweep(
+        get_proximal("l1"), h, h, h, 2.0,
+        np.linalg.cholesky(s) if isinstance(s, np.ndarray) else s,
+    ),
     "norm_sq": lambda ex, h, s: ex.norm_sq(h),
 }
 

@@ -41,6 +41,63 @@ class TestHealthyRun:
         assert diagnose(result.telemetry) == []
 
 
+class TestHostHotspot:
+    """The measured dominant phase, from the phase table's host column."""
+
+    def _record(self, sim, host, run_s=2.0):
+        rec = RunRecord()
+        rec.metrics_summary = {"counters": {}, "gauges": {}, "histograms": {}}
+        rec.sim_phase_seconds = dict(sim)
+        rec.spans.append(Span(id=0, name="run", parent=None, t0=0.0, dur=run_s,
+                              open=False))
+        for name, dur in host:
+            rec.spans.append(Span(id=len(rec.spans), name=name, parent=0, t0=0.1,
+                                  dur=dur, open=False))
+        return rec
+
+    def test_names_measured_and_differing_simulated_phase(self):
+        rec = self._record({"MTTKRP": 3e-3, "UPDATE": 1e-3},
+                           [("update", 0.7), ("update", 0.5), ("mttkrp", 0.4)])
+        (finding,) = diagnose(rec)
+        assert finding.code == "host_hotspot" and finding.severity == "info"
+        assert finding.evidence["phase"] == "UPDATE"
+        assert finding.evidence["share"] == pytest.approx(0.6)
+        assert finding.evidence["simulated_phase"] == "MTTKRP"
+        assert finding.evidence["span_ids"] == [1, 2]
+        assert "UPDATE takes 60% of the run's host time" in finding.summary
+        assert "simulated device time is dominated by MTTKRP (75%)" in finding.summary
+
+    def test_agreeing_simulated_phase_is_not_repeated(self):
+        rec = self._record({"UPDATE": 3e-3, "MTTKRP": 1e-3},
+                           [("update", 1.0), ("gram_init", 0.2), ("gram", 0.3)])
+        (finding,) = diagnose(rec)
+        assert finding.evidence["phase"] == "UPDATE"
+        assert finding.evidence["simulated_phase"] is None
+        assert "simulated" not in finding.summary
+
+    def test_short_run_is_silent(self):
+        rec = self._record({"UPDATE": 1e-3}, [("update", 0.5)], run_s=0.9)
+        assert diagnose(rec) == []
+
+    def test_telemetry_on_run(self, tensor, monkeypatch):
+        from repro.obs.analysis import TraceAnalysis, doctor
+
+        monkeypatch.setattr(doctor, "HOST_HOTSPOT_MIN_SECONDS", 0.0)
+        result = cstf(tensor, _config())
+        (finding,) = diagnose(result.telemetry)
+        assert finding.code == "host_hotspot"
+        rows = TraceAnalysis(result.telemetry).phase_table()
+        hot = max(rows, key=lambda r: r["host_seconds"])
+        run_s = sum(s.dur for s in result.telemetry.spans if s.name == "run")
+        assert finding.evidence["phase"] == hot["phase"]
+        assert finding.evidence["run_seconds"] == run_s
+        assert 0.0 < finding.evidence["share"] <= 1.0
+        by_id = {s.id: s for s in result.telemetry.spans}
+        assert finding.evidence["span_ids"]
+        assert sum(by_id[i].dur for i in finding.evidence["span_ids"]) == pytest.approx(
+            hot["host_seconds"])
+
+
 class TestAdmmStallAcceptance:
     @pytest.fixture(scope="class")
     def stalled(self, tensor):

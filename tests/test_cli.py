@@ -234,6 +234,17 @@ class TestDoctorVerb:
         assert code == 0
         assert "no findings: run looks healthy" in text
 
+    def test_host_hotspot_finding(self, monkeypatch):
+        from repro.obs.analysis import doctor
+
+        monkeypatch.setattr(doctor, "HOST_HOTSPOT_MIN_SECONDS", 0.0)
+        code, text = _run(["doctor", "uber", "--rank", "2", "--iters", "2",
+                           "--nnz", "1000"])
+        assert code == 0
+        assert "[info] host_hotspot: " in text
+        assert "of the run's host time" in text
+        assert "evidence spans: #" in text
+
     def test_unknown_dataset_exits_2(self, capsys):
         code, _ = _run(["doctor", "netflix"])
         assert code == 2

@@ -19,7 +19,8 @@ ROWS, RANK = 400, 8
 
 class _AllocatingFused(AdmmUpdate):
     """The fused inner iteration as plain allocating NumPy expressions: a
-    fresh array for every intermediate, no workspace."""
+    fresh array for every intermediate, no workspace, no row tiles, and the
+    divergence magnitude taken from the whole arrays."""
 
     def _workspace(self, shape):
         return None
@@ -27,27 +28,28 @@ class _AllocatingFused(AdmmUpdate):
     def _iter_fused(self, ex, m_mat, h, u, rho, l_factor, g_inv, ws=None):
         assert ws is None
         h_aux = m_mat + rho * (h + u)
-        h_bar = self._solve(ex, h_aux, l_factor, g_inv)
+        h_bar = ex._apply_inverse(h_aux, l_factor, g_inv)
         h_new = self.prox(h_bar - u, rho)
         dh = h_new - h_bar
         u_new = u + dh
         d_prev = h_new - h
         r_primal = float(np.vdot(dh, dh).real) / max(float(np.vdot(h_new, h_new).real), 1e-30)
         r_dual = float(np.vdot(d_prev, d_prev).real) / max(float(np.vdot(u_new, u_new).real), 1e-30)
-        return h_new, u_new, r_primal, r_dual
+        return h_new, u_new, r_primal, r_dual, None
 
 
-class _FaultyGemm(Executor):
-    """Poisons the result of the listed ``gemm`` calls (1-based) with NaN:
-    each poisoned call is one diverged inner iteration."""
+class _FaultySolve(Executor):
+    """Poisons the result of the listed apply-inverse calls (1-based) with
+    NaN. The factor here is a single sweep tile, so each poisoned call is
+    one diverged inner iteration on both sides."""
 
     def __init__(self, poison_calls):
         super().__init__("a100")
         self.poison = set(poison_calls)
         self.calls = 0
 
-    def gemm(self, a, b, name="dgemm", *, out=None):
-        res = super().gemm(a, b, name, out=out)
+    def _apply_inverse(self, h_aux, l_factor, g_inv, out=None):
+        res = super()._apply_inverse(h_aux, l_factor, g_inv, out=out)
         self.calls += 1
         if self.calls in self.poison:
             res[0, 0] = np.nan
@@ -92,9 +94,9 @@ class TestBitwiseAgainstAllocatingPath:
     def test_recovery_paths(self, poison, expected):
         m, s, h0 = _problem(seed=1)
         policy = ResiliencePolicy(max_admm_failures=2)
-        got = _run(cuadmm(), _FaultyGemm(poison), m, s, h0, policy)
+        got = _run(cuadmm(), _FaultySolve(poison), m, s, h0, policy)
         ref = _run(_AllocatingFused(fuse_ops=True, preinvert=True),
-                   _FaultyGemm(poison), m, s, h0, policy)
+                   _FaultySolve(poison), m, s, h0, policy)
         assert set(got[2]) == expected
         assert got[2] == ref[2]
         assert np.isfinite(got[0]).all()
@@ -191,4 +193,78 @@ def test_inner_iterations_after_the_first_allocate_no_factor_sized_array(resilie
     factor_bytes = ROWS * RANK * 8
     assert len(ex.peaks) == 10
     assert ex.peaks[0] >= factor_bytes  # the workspace itself
+    assert max(ex.peaks[1:]) < factor_bytes
+
+
+# --------------------------------------------------------------------- #
+# Factors spanning several sweep tiles
+# --------------------------------------------------------------------- #
+TILED_ROWS = 10 * 2048 + 7  # ten full sweep tiles at RANK=8 and a partial one
+
+
+def _tiled_problem(seed=0):
+    rng = np.random.default_rng(seed)
+    basis = rng.random((3 * RANK, RANK))
+    return (rng.random((TILED_ROWS, RANK)), basis.T @ basis,
+            rng.random((TILED_ROWS, RANK)))
+
+
+def _run_tiled(update, m, s, h0, policy):
+    state = update.init_state((TILED_ROWS,), RANK)
+    ctx = ResilienceContext(policy)
+    state[STATE_KEY] = ctx
+    state["dual"][0] = np.random.default_rng(9).random((TILED_ROWS, RANK)) * 0.1
+    out = update.update(Executor("a100"), 0, m, s, h0, state)
+    return out, state["dual"][0], [e.kind for e in ctx.events]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags", FLAGS, ids=["cuadmm", "admm_of"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("row", [3, 2048 + 100, TILED_ROWS - 1], ids=["first", "middle", "last"])
+def test_one_bad_tile_recovers_like_the_whole_array_loop(flags, bad, row):
+    m, s, h0 = _tiled_problem(seed=3)
+    m[row, 1] = bad
+    policy = ResiliencePolicy(max_admm_failures=2)
+    got = _run_tiled(AdmmUpdate(**flags), m, s, h0, policy)
+    ref = _run_tiled(_AllocatingFused(**flags), m, s, h0, policy)
+    assert "admm_divergence" in got[2] and got[2] == ref[2]
+    for a, b in zip(got[:2], ref[:2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["cuadmm", "admm_of"])
+def test_magnitude_divergence_matches_the_whole_array_loop(flags):
+    """Finite iterates past a (tight) divergence threshold: the decision
+    rests on the sweep's per-tile extremes alone."""
+    m, s, h0 = _tiled_problem(seed=4)
+    m[2048 + 5, 0] = 50.0
+    policy = ResiliencePolicy(max_admm_failures=2, divergence_threshold=0.05)
+    got = _run_tiled(AdmmUpdate(**flags), m, s, h0, policy)
+    ref = _run_tiled(_AllocatingFused(**flags), m, s, h0, policy)
+    assert "admm_divergence" in got[2] and got[2] == ref[2]
+    for a, b in zip(got[:2], ref[:2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=["cuadmm", "admm_of"])
+def test_tiled_update_scratch_is_tile_sized_and_iterations_allocate_no_factor(flags):
+    m, s, h0 = _tiled_problem()
+    upd = AdmmUpdate(inner_iters=10, **flags)
+    state = upd.init_state((TILED_ROWS,), RANK)
+    state[STATE_KEY] = ResilienceContext(ResiliencePolicy())
+    ex = _AllocationProbe()
+    tracemalloc.start()
+    try:
+        ex.start()
+        upd.update(ex, 0, m, s, h0, state)
+    finally:
+        tracemalloc.stop()
+    factor_bytes = TILED_ROWS * RANK * 8
+    tile_elems = 2048 * RANK
+    assert [buf.size for buf in upd._scratch] == [tile_elems, tile_elems]
+    assert len(ex.peaks) == 10
+    # The first iteration holds the workspace: two ping-pong pairs of I×R
+    # iterates and two tile-sized scratch buffers, nothing more I×R-sized.
+    assert 4 * factor_bytes <= ex.peaks[0] < 5 * factor_bytes
     assert max(ex.peaks[1:]) < factor_bytes
